@@ -27,8 +27,7 @@ Global telemetry flags (before the subcommand):
   ``repro obs compare``);
 * ``--profile`` — continuous profiling & resource telemetry: sampled
   hot-path stacks per campaign phase plus periodic CPU/RSS/GC resource
-  samples, recorded into the trace (``--profile-mode cprofile`` for the
-  deterministic per-phase profiler, ``--profile-interval`` to change
+  samples, recorded into the trace (``--profile-interval`` to change
   the sampling cadence);
 * ``-v`` / ``-vv`` — phase-level / per-event stdlib logging.
 
@@ -163,16 +162,6 @@ def _add_telemetry_arguments(parser, suppress_defaults: bool = False) -> None:
         help=(
             "record hot-path stacks and CPU/RSS resource samples into "
             "the telemetry trace (inspect with 'obs profile'/'obs flame')"
-        ),
-    )
-    group.add_argument(
-        "--profile-mode",
-        choices=("sampling", "cprofile"),
-        default=suppress if suppress_defaults else "sampling",
-        help=(
-            "profiler to use with --profile: 'sampling' (default, "
-            "near-zero overhead) or 'cprofile' (deterministic per-phase "
-            "call counts, higher overhead)"
         ),
     )
     group.add_argument(
@@ -1752,9 +1741,7 @@ def _setup_observability(args) -> None:
 
         profile = None
         if args.profile:
-            profile = obs.ProfileConfig(
-                mode=args.profile_mode, interval_s=args.profile_interval
-            )
+            profile = obs.ProfileConfig(interval_s=args.profile_interval)
         try:
             obs.configure(
                 trace_path=args.trace,

@@ -31,7 +31,7 @@ import pickle
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.ioutil import durable_append_line
+from repro.ioutil import durable_append_line, read_jsonl
 from repro.farm.workunit import WorkResult
 from repro.obs.events import FarmCheckpointDropped
 from repro.obs.runtime import OBS
@@ -80,28 +80,22 @@ class CheckpointStore:
         if not self.path.exists():
             return results
         dropped = 0
-        with self.path.open("r") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    logger.warning(
-                        "checkpoint %s: dropping corrupt line %d "
-                        "(interrupted write?)", self.path, number,
-                    )
-                    dropped += 1
-                    continue
-                if payload.get("kind") == _KIND:
-                    self._check_header(payload)
-                    continue
-                result = self._decode(payload, number)
-                if result is not None:
-                    results[result.unit_key] = result
-                else:
-                    dropped += 1
+        for number, payload in read_jsonl(self.path):
+            if payload is None:
+                logger.warning(
+                    "checkpoint %s: dropping corrupt line %d "
+                    "(interrupted write?)", self.path, number,
+                )
+                dropped += 1
+                continue
+            if payload.get("kind") == _KIND:
+                self._check_header(payload)
+                continue
+            result = self._decode(payload, number)
+            if result is not None:
+                results[result.unit_key] = result
+            else:
+                dropped += 1
         if dropped and OBS.enabled:
             OBS.metrics.counter("farm.checkpoint.dropped_lines").inc(dropped)
             OBS.bus.emit(

@@ -16,6 +16,10 @@ This module centralizes the two disciplines that prevent torn data
   temp file and ``os.replace`` it over the target, so readers never see
   a truncated file even if the writer dies mid-write.
 
+Reads go through :func:`read_jsonl`, so traces, ``runs.jsonl``,
+checkpoints and broker spools agree on what a blank, torn or non-object
+line is; each consumer keeps only its record-level rules.
+
 Deliberately dependency-free (stdlib only, no ``repro`` imports) so any
 layer — ``repro.obs``, ``repro.farm``, ``repro.core``, ``repro.store``
 — can use it without import cycles.
@@ -23,9 +27,11 @@ layer — ``repro.obs``, ``repro.farm``, ``repro.core``, ``repro.store``
 
 from __future__ import annotations
 
+import json
 import os
+from itertools import islice
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Any, Dict, Generator, Optional, Tuple, Union
 
 
 def fsync_handle(handle: IO[str]) -> None:
@@ -70,3 +76,41 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
         fsync_handle(handle)
     os.replace(staging, target)
     return target
+
+
+def read_jsonl(
+    path: Union[str, Path],
+    offset: int = 0,
+    limit: Optional[int] = None,
+    complete_lines_only: bool = False,
+) -> Generator[Tuple[int, Optional[Dict[str, Any]]], None, int]:
+    """Stream ``(line_number, record)`` pairs from a JSONL file.
+
+    ``line_number`` is 1-based.  Blank lines are skipped.  A line that
+    is torn, not JSON, not UTF-8 or not a JSON object yields ``None`` as
+    its record, so each caller decides whether to count, warn or raise.
+    Memory stays proportional to one line, never to the file size.
+
+    ``offset`` and ``limit`` count *file lines* (blank ones included),
+    so a page boundary is stable while the file grows.  With
+    ``complete_lines_only`` a final line missing its newline is left
+    unconsumed: it is the record in flight, and a tailing reader picks
+    it up whole on its next read.  The generator returns (as
+    ``StopIteration.value``) the offset of the next page.  A missing
+    file raises :class:`OSError` on the first ``next``.
+    """
+    stop = None if limit is None else offset + max(limit, 0)
+    consumed = offset
+    with open(path, "rb") as handle:
+        for index, line in enumerate(islice(handle, offset, stop), offset):
+            if complete_lines_only and not line.endswith(b"\n"):
+                break
+            consumed = index + 1
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):
+                record = None
+            yield consumed, record if isinstance(record, dict) else None
+    return consumed

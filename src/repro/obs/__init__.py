@@ -36,10 +36,9 @@ package turns every such cost into an observable:
   one self-contained HTML file (inline SVG, no scripts, no external
   assets);
 * :mod:`repro.obs.profile` — continuous profiling & resource telemetry:
-  a background sampling profiler (optional deterministic per-phase
-  ``cProfile`` mode) folding stacks per campaign phase, a resource
-  sampler (``getrusage`` CPU, RSS, GC) emitting ``resource_sample``
-  events, per-worker sessions that ride the farm telemetry merge, and
+  a background sampling profiler folding stacks per campaign phase, a
+  resource sampler (``getrusage`` CPU, RSS, GC) emitting
+  ``resource_sample`` events, per-worker sessions that ride the farm telemetry merge, and
   the hot-path / folded-stack / utilization analysis behind
   ``repro obs profile`` and ``repro obs flame``.
 

@@ -338,10 +338,11 @@ class ProfileRecorded(Event):
 
     ``folded`` holds ``(phase, stack, weight)`` triples where ``stack``
     is a ``;``-joined root-to-leaf frame list (``module:function``) —
-    the flamegraph.pl collapsed-stack format, phase-attributed.  The
-    weight unit depends on the mode: stack *samples* for the background
-    sampling profiler, self-time *milliseconds* for the deterministic
-    ``cProfile`` mode (whose "stacks" are single frames).
+    the flamegraph.pl collapsed-stack format, phase-attributed.  This
+    build writes ``mode="sampling"`` with weights in stack *samples*;
+    traces from builds that had a deterministic ``cProfile`` mode carry
+    ``mode="cprofile"`` with self-time *milliseconds*, and the read side
+    still renders them.
     """
 
     type: ClassVar[str] = "profile"

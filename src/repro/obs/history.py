@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.ioutil import durable_append_line
+from repro.ioutil import durable_append_line, read_jsonl
 from repro.obs.metrics import MetricsRegistry
 
 RUN_SCHEMA = 1
@@ -159,16 +159,8 @@ class RunHistory:
         loaded = HistoryLoad()
         if not self.path.exists():
             return loaded
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                loaded.dropped_lines += 1
-                continue
-            if not isinstance(record, dict) or record.get("kind") != RUN_KIND:
+        for _, record in read_jsonl(self.path):
+            if record is None or record.get("kind") != RUN_KIND:
                 loaded.dropped_lines += 1
                 continue
             if record.get("schema") != RUN_SCHEMA:

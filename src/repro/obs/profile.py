@@ -12,21 +12,16 @@ merge machinery unchanged:
   ``sys._current_frames()`` and aggregates the stacks into collapsed
   (folded) counts keyed by the live campaign phase
   (:func:`repro.obs.timing.current_phase`).  Statistical, near-zero
-  overhead on the profiled thread, safe for production runs.
-* :class:`CProfileSession` — the optional deterministic mode: one
-  ``cProfile.Profile`` per campaign phase, switched at span boundaries
-  through the phase-listener hook.  Exact call counts and self time,
-  at ``cProfile``'s usual overhead; its "stacks" are single frames
-  weighted by self-time milliseconds.
+  overhead on the profiled thread, safe for production runs.  The
+  session ends in one :class:`~repro.obs.events.ProfileRecorded` event.
+* :class:`ResourceSampler` — periodically records ``getrusage`` CPU
+  time, RSS (``/proc/self/status`` with a portable fallback) and GC
+  counters as :class:`~repro.obs.events.ResourceSample` events plus
+  ``proc.*`` gauges.
 
-Either way the session ends in one :class:`~repro.obs.events.
-ProfileRecorded` event, and a :class:`ResourceSampler` periodically
-records ``getrusage`` CPU time, RSS (``/proc/self/status`` with a
-portable fallback) and GC counters as :class:`~repro.obs.events.
-ResourceSample` events plus ``proc.*`` gauges.  Farm work units run
-their own pair inside the worker capture, so profiles and resource
-series ship back inside ``WorkerTelemetry`` and merge deterministically
-like every other event.
+Farm work units run their own pair inside the worker capture, so
+profiles and resource series ship back inside ``WorkerTelemetry`` and
+merge deterministically like every other event.
 
 The second half of the module is the read side: aggregate the
 ``profile`` events of a loaded trace into per-phase hot-path tables
@@ -70,20 +65,15 @@ TOP_PHASE = "(top)"
 class ProfileConfig:
     """What to record; tiny and picklable so farm dispatches can ship it.
 
-    ``mode`` selects the recorder: ``"sampling"`` (the default
-    statistical profiler) or ``"cprofile"`` (deterministic, per-phase).
     ``max_stacks`` bounds the folded table carried by the ``profile``
     event; overflow is counted in ``truncated``, never silently lost.
     """
 
-    mode: str = "sampling"
     interval_s: float = DEFAULT_INTERVAL_S
     resource_interval_s: float = DEFAULT_RESOURCE_INTERVAL_S
     max_stacks: int = 2000
 
     def __post_init__(self) -> None:
-        if self.mode not in ("sampling", "cprofile"):
-            raise ValueError(f"unknown profile mode {self.mode!r}")
         if self.interval_s <= 0 or self.resource_interval_s <= 0:
             raise ValueError("profile intervals must be positive")
         if self.max_stacks < 1:
@@ -317,99 +307,6 @@ class SamplingProfiler:
         )
 
 
-class CProfileSession:
-    """Deterministic per-phase profiling via ``cProfile``.
-
-    One ``cProfile.Profile`` per campaign phase, switched inline at
-    span boundaries through :func:`repro.obs.timing.add_phase_listener`
-    (only one profile can own the profiling hook at a time, so entering
-    a phase suspends the enclosing one).  Exact call counts, at
-    ``cProfile`` overhead — results are still bit-identical because the
-    instrumentation never touches the RNG or the tester.
-
-    The folded output weights each function (a single-frame "stack") by
-    its self time in milliseconds, so the hot-path table and flame
-    export work unchanged; caller context is not preserved.
-    """
-
-    def __init__(self, config: Optional[ProfileConfig] = None) -> None:
-        import cProfile
-
-        self.config = config if config is not None else ProfileConfig(mode="cprofile")
-        self._make = cProfile.Profile
-        self._profiles: Dict[str, object] = {}
-        self._active: List[Tuple[str, object]] = []
-        self._started = 0.0
-
-    def _profile_for(self, phase: str):
-        profile = self._profiles.get(phase)
-        if profile is None:
-            profile = self._profiles[phase] = self._make()
-        return profile
-
-    def _push(self, phase: str) -> None:
-        if self._active:
-            self._active[-1][1].disable()
-        profile = self._profile_for(phase)
-        self._active.append((phase, profile))
-        profile.enable()
-
-    def _pop(self, phase: str) -> None:
-        if not self._active or self._active[-1][0] != phase:
-            return
-        self._active.pop()[1].disable()
-        if self._active:
-            self._active[-1][1].enable()
-
-    # Phase-listener protocol (see repro.obs.timing).
-    def phase_started(self, name: str) -> None:
-        self._push(name)
-
-    def phase_ended(self, name: str) -> None:
-        self._pop(name)
-
-    def start(self) -> "CProfileSession":
-        """Start profiling (phase :data:`TOP_PHASE` until a span opens)."""
-        if self._active:
-            return self
-        self._started = time.perf_counter()
-        timing.add_phase_listener(self)
-        self._push(TOP_PHASE)
-        return self
-
-    def stop(self) -> ProfileRecorded:
-        """Stop all phase profiles; the :class:`ProfileRecorded` event."""
-        import pstats
-
-        timing.remove_phase_listener(self)
-        while self._active:
-            self._active.pop()[1].disable()
-        duration = time.perf_counter() - self._started
-        entries: List[Tuple[str, str, int]] = []
-        calls = 0
-        for phase in sorted(self._profiles):
-            stats = pstats.Stats(self._profiles[phase])
-            for (filename, _, name), row in stats.stats.items():  # type: ignore[attr-defined]
-                cc, nc, tt, ct, callers = row
-                calls += int(nc)
-                weight = int(round(tt * 1000.0))
-                if weight <= 0:
-                    continue
-                module = Path(filename).stem if filename else "?"
-                entries.append((phase, f"{module}:{name}", weight))
-        entries.sort(key=lambda e: (-e[2], e[0], e[1]))
-        kept = entries[: self.config.max_stacks]
-        return ProfileRecorded(
-            mode="cprofile",
-            unit="ms",
-            samples=calls,
-            interval_s=0.0,
-            duration_s=round(duration, 6),
-            folded=tuple(kept),
-            truncated=len(entries) - len(kept),
-        )
-
-
 class ProfileSession:
     """One profiler + resource sampler pair with a bound event bus.
 
@@ -424,7 +321,7 @@ class ProfileSession:
         self.config = config if config is not None else ProfileConfig()
         self._bus: Optional[EventBus] = None
         self._metrics: Optional[MetricsRegistry] = None
-        self._profiler: Optional[object] = None
+        self._profiler: Optional[SamplingProfiler] = None
         self._resources: Optional[ResourceSampler] = None
 
     def start(self) -> "ProfileSession":
@@ -438,10 +335,7 @@ class ProfileSession:
             bus=self._bus,
             metrics=self._metrics,
         ).start()
-        if self.config.mode == "cprofile":
-            self._profiler = CProfileSession(self.config).start()
-        else:
-            self._profiler = SamplingProfiler(self.config).start()
+        self._profiler = SamplingProfiler(self.config).start()
         return self
 
     def stop(self, emit: bool = True) -> Optional[ProfileRecorded]:
@@ -798,7 +692,6 @@ def render_worker_utilization(rows: Sequence[WorkerUtilization]) -> str:
 __all__ = [
     "DEFAULT_INTERVAL_S",
     "DEFAULT_RESOURCE_INTERVAL_S",
-    "CProfileSession",
     "HotPath",
     "ProfileConfig",
     "ProfileSession",

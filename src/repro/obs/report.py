@@ -15,25 +15,17 @@ Two views of one campaign:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.ioutil import read_jsonl
 from repro.obs.events import known_event_types
 from repro.obs.metrics import MetricsRegistry
 
 
-def _iter_trace_lines(path: Union[str, Path]):
-    """Stream ``(line_number, line)`` pairs without loading the file.
-
-    Farm traces can reach multiple gigabytes; both loaders iterate the
-    file handle directly so memory stays proportional to the kept
-    records, never to the file size.
-    """
-    with open(Path(path), "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            yield line_number, line
+def _is_event(record: Optional[Dict[str, object]]) -> bool:
+    return record is not None and "type" in record
 
 
 def read_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
@@ -46,16 +38,10 @@ def read_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
         (line-numbered, so a truncated trace is easy to diagnose).
     """
     records: List[Dict[str, object]] = []
-    for line_number, line in _iter_trace_lines(path):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"trace line {line_number}: {exc}") from exc
-        if not isinstance(record, dict) or "type" not in record:
+    for line_number, record in read_jsonl(path):
+        if not _is_event(record):
             raise ValueError(
-                f"trace line {line_number}: not an event object"
+                f"trace line {line_number}: not a JSON event object"
             )
         records.append(record)
     return records
@@ -81,15 +67,8 @@ def load_trace(path: Union[str, Path]) -> TraceLoadResult:
     """
     known = known_event_types()
     loaded = TraceLoadResult()
-    for _, line in _iter_trace_lines(path):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            loaded.dropped_lines += 1
-            continue
-        if not isinstance(record, dict) or "type" not in record:
+    for _, record in read_jsonl(path):
+        if not _is_event(record):
             loaded.dropped_lines += 1
             continue
         kind = str(record["type"])
@@ -273,6 +252,7 @@ def trace_summary_data(loaded: TraceLoadResult) -> Dict[str, object]:
     per_test: Dict[str, int] = {}
     for name, count in groups:
         per_test[name] = per_test.get(name, 0) + count
+    profiles = [r for r in records if r.get("type") == "profile"]
     return {
         "events": len(records),
         "events_by_type": counts,
@@ -282,17 +262,37 @@ def trace_summary_data(loaded: TraceLoadResult) -> Dict[str, object]:
             "retries": counts.get("farm_unit_retried", 0),
             "skipped": counts.get("farm_unit_skipped", 0),
             "merged": counts.get("farm_unit_merged", 0),
+            "dropped_events": _sum_field(
+                records, "farm_unit_merged", "dropped_events"
+            ),
         },
+        "checkpoint_dropped_lines": _sum_field(
+            records, "farm_checkpoint_dropped", "lines"
+        ),
         "measurements": {
             "total": sum(per_test.values()),
             "groups": len(groups),
             "per_test": per_test,
         },
         "resources": _resource_rollup(records),
-        "profile_sessions": counts.get("profile", 0),
+        "profile_sessions": len(profiles),
+        "profile_weight": sum(
+            int(entry[2]) for p in profiles for entry in p.get("folded") or ()
+        ),
+        "profile_unit": (
+            str(profiles[0].get("unit", "samples")) if profiles else None
+        ),
         "dropped_lines": loaded.dropped_lines,
         "unknown_types": dict(loaded.unknown_types),
     }
+
+
+def _sum_field(
+    records: Iterable[Dict[str, object]], kind: str, name: str
+) -> int:
+    return sum(
+        int(r.get(name, 0) or 0) for r in records if r.get("type") == kind
+    )
 
 
 def render_trace_summary(loaded: TraceLoadResult) -> str:
@@ -301,74 +301,54 @@ def render_trace_summary(loaded: TraceLoadResult) -> str:
     Event counts by type, the farm section (units, workers, retries,
     merge bookkeeping), measurement totals with the costliest tests, and
     an honesty footer for anything the tolerant loader had to forgive.
+    The text is a view of :func:`trace_summary_data`, so the two never
+    disagree.
     """
-    records = loaded.records
-    lines = [f"== trace summary: {len(records)} event(s) =="]
-    counts: Dict[str, int] = {}
-    for record in records:
-        kind = str(record.get("type"))
-        counts[kind] = counts.get(kind, 0) + 1
+    data = trace_summary_data(loaded)
+    lines = [f"== trace summary: {data['events']} event(s) =="]
+    counts: Dict[str, int] = data["events_by_type"]
     lines.append("events by type:")
     for kind in sorted(counts, key=lambda k: (-counts[k], k)):
         lines.append(f"  {kind:<30} {counts[kind]:>8}")
 
-    units = _farm_unit_rows(records)
-    if units:
-        by_worker: Dict[str, List[Dict[str, object]]] = {}
-        for row in units:
-            by_worker.setdefault(str(row["worker"]), []).append(row)
-        retries = counts.get("farm_unit_retried", 0)
-        skipped = counts.get("farm_unit_skipped", 0)
-        merged = counts.get("farm_unit_merged", 0)
+    farm: Dict[str, object] = data["farm"]
+    workers: Dict[str, Dict[str, object]] = farm["workers"]
+    if farm["units"]:
         lines.append(
-            f"farm: {len(units)} unit(s) completed on "
-            f"{len(by_worker)} worker(s), {skipped} restored from "
-            f"checkpoint, {retries} retry(ies), {merged} merged"
+            f"farm: {farm['units']} unit(s) completed on "
+            f"{len(workers)} worker(s), {farm['skipped']} restored from "
+            f"checkpoint, {farm['retries']} retry(ies), "
+            f"{farm['merged']} merged"
         )
-        for worker in sorted(by_worker):
-            rows = by_worker[worker]
-            busy = sum(float(r["elapsed_s"]) for r in rows)
-            meas = sum(int(r["measurements"]) for r in rows)
+        for worker in sorted(workers):
+            row = workers[worker]
             lines.append(
-                f"  {worker:<24} {len(rows):>4} unit(s)"
-                f" {busy:>9.3f}s busy {meas:>9} meas"
+                f"  {worker:<24} {row['units']:>4} unit(s)"
+                f" {row['busy_s']:>9.3f}s busy {row['measurements']:>9} meas"
             )
-        dropped_events = sum(
-            int(r.get("dropped_events", 0) or 0)
-            for r in records
-            if r.get("type") == "farm_unit_merged"
-        )
-        if dropped_events:
+        if farm["dropped_events"]:
             lines.append(
-                f"  warning: {dropped_events} worker event(s) dropped "
-                f"(spool capacity)"
+                f"  warning: {farm['dropped_events']} worker event(s) "
+                f"dropped (spool capacity)"
             )
-    checkpoint_dropped = sum(
-        int(r.get("lines", 0) or 0)
-        for r in records
-        if r.get("type") == "farm_checkpoint_dropped"
-    )
-    if checkpoint_dropped:
+    if data["checkpoint_dropped_lines"]:
         lines.append(
-            f"  warning: {checkpoint_dropped} corrupt checkpoint "
-            f"line(s) dropped"
+            f"  warning: {data['checkpoint_dropped_lines']} corrupt "
+            f"checkpoint line(s) dropped"
         )
 
-    groups = per_test_measurement_counts(records)
-    if groups:
-        total = sum(count for _, count in groups)
-        totals: Dict[str, int] = {}
-        for name, count in groups:
-            totals[name] = totals.get(name, 0) + count
+    measurements: Dict[str, object] = data["measurements"]
+    per_test: Dict[str, int] = measurements["per_test"]
+    if measurements["groups"]:
         lines.append(
-            f"measurements: {total} over {len(groups)} test group(s); "
-            f"costliest:"
+            f"measurements: {measurements['total']} over "
+            f"{measurements['groups']} test group(s); costliest:"
         )
-        ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+        ranked = sorted(per_test.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
         for name, count in ranked:
             lines.append(f"  {name[:40]:<40} {count:>8}")
 
-    resources = _resource_rollup(records)
+    resources = data["resources"]
     if resources is not None:
         lines.append(
             f"resources: {resources['samples']} sample(s), "
@@ -376,15 +356,10 @@ def render_trace_summary(loaded: TraceLoadResult) -> str:
             f"peak rss {resources['peak_rss_kb'] / 1024.0:.1f} MB "
             f"across {resources['workers']} process(es)"
         )
-    profiles = [r for r in records if r.get("type") == "profile"]
-    if profiles:
-        weight = sum(
-            sum(int(entry[2]) for entry in (p.get("folded") or ()))
-            for p in profiles
-        )
-        unit = str(profiles[0].get("unit", "samples"))
+    if data["profile_sessions"]:
         lines.append(
-            f"profile: {len(profiles)} session(s), {weight} {unit} "
+            f"profile: {data['profile_sessions']} session(s), "
+            f"{data['profile_weight']} {data['profile_unit']} "
             f"recorded (see `repro obs profile`)"
         )
 

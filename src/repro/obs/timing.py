@@ -10,11 +10,7 @@ The module also keeps the *live phase stack*: while telemetry is on,
 every active span pushes its name so :func:`current_phase` answers
 "which campaign phase is the process in right now?" — the sampling
 profiler (:mod:`repro.obs.profile`) reads it from its background thread
-to attribute each stack sample to a phase.  Phase *listeners* are the
-synchronous hook for the deterministic profiling mode: a listener's
-``phase_started``/``phase_ended`` methods run inline at every span
-boundary (only while any listener is registered, so the common case
-stays a single truthiness check).
+to attribute each stack sample to a phase.
 """
 
 from __future__ import annotations
@@ -33,10 +29,6 @@ F = TypeVar("F", bound=Callable)
 #: GIL-atomic, so a background sampler thread can read the top safely.
 _PHASE_STACK: List[str] = []
 
-#: Objects with ``phase_started(name)`` / ``phase_ended(name)`` methods,
-#: called synchronously at span boundaries while registered.
-_PHASE_LISTENERS: List[object] = []
-
 
 def current_phase() -> str:
     """The innermost open span's name, or ``""`` outside any span."""
@@ -44,19 +36,6 @@ def current_phase() -> str:
         return _PHASE_STACK[-1]
     except IndexError:
         return ""
-
-
-def add_phase_listener(listener: object) -> None:
-    """Register a span-boundary listener (deterministic profiler)."""
-    _PHASE_LISTENERS.append(listener)
-
-
-def remove_phase_listener(listener: object) -> None:
-    """Detach a span-boundary listener (no error if absent)."""
-    try:
-        _PHASE_LISTENERS.remove(listener)
-    except ValueError:
-        pass
 
 
 @contextmanager
@@ -67,17 +46,11 @@ def span(name: str) -> Iterator[None]:
         return
     OBS.bus.emit(CampaignPhase(phase=name, status="start"))
     _PHASE_STACK.append(name)
-    if _PHASE_LISTENERS:
-        for listener in list(_PHASE_LISTENERS):
-            listener.phase_started(name)
     start = time.perf_counter()
     try:
         yield
     finally:
         duration = time.perf_counter() - start
-        if _PHASE_LISTENERS:
-            for listener in list(_PHASE_LISTENERS):
-                listener.phase_ended(name)
         if _PHASE_STACK and _PHASE_STACK[-1] == name:
             _PHASE_STACK.pop()
         OBS.metrics.histogram(f"span.{name}.seconds").observe(duration)

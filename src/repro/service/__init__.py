@@ -38,7 +38,6 @@ from repro.service.manager import (
 from repro.service.progress import (
     ProgressTally,
     job_progress,
-    read_events_page,
     read_numbered_events,
 )
 from repro.service.server import (
@@ -72,7 +71,6 @@ __all__ = [
     "build_dashboard",
     "create_server",
     "job_progress",
-    "read_events_page",
     "read_numbered_events",
     "route_template",
     "serve_in_thread",

@@ -140,7 +140,7 @@ class ServiceClient:
     def events(
         self, job_id: str, offset: int = 0, limit: int = 500
     ) -> Dict[str, object]:
-        """One page of the job's trace events (see ``read_events_page``)."""
+        """One page of the job's trace events (see ``read_numbered_events``)."""
         return self._request_json(
             f"/jobs/{job_id}/events?offset={int(offset)}&limit={int(limit)}"
         )

@@ -10,9 +10,10 @@ phases up into the small progress dict ``GET /jobs/{id}`` returns.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
+
+from repro.ioutil import read_jsonl
 
 
 class ProgressTally:
@@ -76,47 +77,10 @@ def job_progress(trace_path: Union[str, Path]) -> Dict[str, object]:
     path = Path(trace_path)
     tally = ProgressTally()
     if path.exists():
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                record = _parse(line)
-                if record is not None:
-                    tally.add(record)
+        for _, record in read_jsonl(path):
+            if _is_event(record):
+                tally.add(record)
     return tally.as_dict()
-
-
-def read_events_page(
-    trace_path: Union[str, Path],
-    offset: int = 0,
-    limit: int = 500,
-) -> Tuple[List[Dict[str, object]], int, int]:
-    """One page of trace events for ``GET /jobs/{id}/events``.
-
-    Offsets count *file lines* (not parsed events), so a page boundary
-    is stable while the file grows.  Returns ``(events, next_offset,
-    malformed)`` where ``next_offset`` is the line offset to pass for
-    the following page and ``malformed`` counts skipped unparseable
-    lines within the page (normally just a torn in-flight final line).
-    """
-    path = Path(trace_path)
-    events: List[Dict[str, object]] = []
-    malformed = 0
-    consumed = 0
-    if limit < 1:
-        return events, offset, malformed
-    if path.exists():
-        with path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle):
-                if number < offset:
-                    continue
-                if consumed >= limit:
-                    break
-                consumed += 1
-                record = _parse(line)
-                if record is None:
-                    malformed += 1
-                else:
-                    events.append(record)
-    return events, offset + consumed, malformed
 
 
 def read_numbered_events(
@@ -125,52 +89,38 @@ def read_numbered_events(
     limit: int = 500,
     complete_lines_only: bool = False,
 ) -> Tuple[List[Tuple[int, Dict[str, object]]], int, int]:
-    """Like :func:`read_events_page`, but each event carries its line id.
+    """One page of trace events, each with its line id.
 
-    Returns ``(numbered, next_offset, malformed)`` where ``numbered``
-    pairs each event with the 1-based number of the trace line it came
-    from.  The SSE stream uses that number as the frame's ``id:`` field,
-    so a client reconnecting with ``Last-Event-ID: N`` resumes at
-    ``offset=N`` without replaying or skipping events — offsets and ids
-    share the same unit (file lines consumed).
+    Returns ``(numbered, next_offset, malformed)``.  ``numbered`` pairs
+    each event with the 1-based number of the trace line it came from;
+    ``GET /jobs/{id}/events`` drops the numbers, and the SSE stream uses
+    them as the frame's ``id:`` field, so a client reconnecting with
+    ``Last-Event-ID: N`` resumes at ``offset=N`` without replaying or
+    skipping events.  Offsets and ids share one unit: *file lines*
+    consumed, so a page boundary is stable while the file grows.
+    ``next_offset`` is the offset of the following page and
+    ``malformed`` counts the lines in this page that held no event
+    (normally just a torn in-flight final line).
 
     With ``complete_lines_only`` a final line missing its newline is
     left *unconsumed* (not counted in ``next_offset``): it is the event
     in flight, and a tailing reader must pick it up whole on the next
     poll instead of skipping its truncated half as malformed.
     """
-    path = Path(trace_path)
     numbered: List[Tuple[int, Dict[str, object]]] = []
-    malformed = 0
-    consumed = 0
-    if limit < 1:
-        return numbered, offset, malformed
-    if path.exists():
-        with path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle):
-                if number < offset:
-                    continue
-                if consumed >= limit:
-                    break
-                if complete_lines_only and not line.endswith("\n"):
-                    break
-                consumed += 1
-                record = _parse(line)
-                if record is None:
-                    malformed += 1
-                else:
-                    numbered.append((number + 1, record))
-    return numbered, offset + consumed, malformed
+    if not Path(trace_path).exists():
+        return numbered, offset, 0
+    lines = read_jsonl(trace_path, offset, limit, complete_lines_only)
+    while True:
+        try:
+            number, record = next(lines)
+        except StopIteration as stop:
+            next_offset = stop.value
+            break
+        if _is_event(record):
+            numbered.append((number, record))
+    return numbered, next_offset, next_offset - offset - len(numbered)
 
 
-def _parse(line: str) -> Optional[Dict[str, object]]:
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict) or "type" not in record:
-        return None
-    return record
+def _is_event(record: Optional[Dict[str, object]]) -> bool:
+    return record is not None and "type" in record

@@ -49,11 +49,7 @@ from repro.ioutil import durable_append_line
 from repro.obs.exposition import render_exposition
 from repro.obs.metrics import MetricsRegistry
 from repro.service.manager import JobManager
-from repro.service.progress import (
-    ProgressTally,
-    read_events_page,
-    read_numbered_events,
-)
+from repro.service.progress import ProgressTally, read_numbered_events
 from repro.service.spec import (
     JobSpec,
     LOG_FILENAME,
@@ -419,13 +415,13 @@ class JobAPIHandler(BaseHTTPRequestHandler):
         if resource == "events":
             offset = _query_int(query, "offset", 0)
             limit = min(_query_int(query, "limit", 500), MAX_EVENT_PAGE)
-            events, next_offset, malformed = read_events_page(
+            numbered, next_offset, malformed = read_numbered_events(
                 job_dir / TRACE_FILENAME, offset=offset, limit=limit
             )
             self._send_json(
                 200,
                 {
-                    "events": events,
+                    "events": [record for _, record in numbered],
                     "next_offset": next_offset,
                     "malformed": malformed,
                     "state": job["state"],

@@ -122,6 +122,25 @@ class TestDroppedLineTelemetry:
         assert events[0].path == str(path)
         assert events[0].lines == 2
 
+    def test_non_object_line_dropped_and_announced(self, tmp_path):
+        from repro import obs
+
+        path = tmp_path / "ckpt.jsonl"
+        with CheckpointStore(path, campaign="c1") as store:
+            store.record(_result("good"))
+        lines = path.read_text().splitlines()
+        # A valid header followed by a JSON line that is not an object.
+        path.write_text("\n".join([lines[0], "[1, 2]", lines[1]]) + "\n")
+        sink = obs.RingBufferSink()
+        obs.enable(sink)
+        try:
+            loaded = CheckpointStore(path, campaign="c1").load()
+        finally:
+            events = sink.of_type("farm_checkpoint_dropped")
+            obs.reset()
+        assert set(loaded) == {"good"}
+        assert [event.lines for event in events] == [1]
+
     def test_no_telemetry_when_disabled(self, tmp_path):
         from repro import obs
 

@@ -112,6 +112,23 @@ class TestObsSubcommands:
         assert "unknown type kept: from_the_future x1" in out
         assert "1 malformed line(s) skipped" in out
 
+    def test_summary_json_carries_drop_warnings(self, trace, capsys):
+        with trace.open("a") as handle:
+            handle.write(json.dumps({"type": "farm_unit_merged",
+                                     "key": "die/0000",
+                                     "dropped_events": 3}) + "\n")
+            handle.write(json.dumps({"type": "farm_checkpoint_dropped",
+                                     "path": "ckpt.jsonl",
+                                     "lines": 2}) + "\n")
+        assert main(["obs", "summary", str(trace)]) == 0
+        text = capsys.readouterr().out
+        assert main(["obs", "summary", str(trace), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert "warning: 3 worker event(s) dropped" in text
+        assert data["farm"]["dropped_events"] == 3
+        assert "warning: 2 corrupt checkpoint line(s) dropped" in text
+        assert data["checkpoint_dropped_lines"] == 2
+
     def test_missing_trace_is_clean_error(self, tmp_path, capsys):
         assert main(["obs", "summary", str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read trace" in capsys.readouterr().err
