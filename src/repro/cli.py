@@ -7,7 +7,7 @@ Exposes the characterization campaigns as subcommands::
     repro-characterize table1  [--random-tests 300] [--fast]
     repro-characterize hunt    [--weights out.json] [--database db.json]
     repro-characterize shmoo   [--tests 40]
-    repro-characterize screen  [--tests 40] [--engine batched]
+    repro-characterize screen  [--tests 40] [--step 0.25]
     repro-characterize sweep
     repro-characterize lot     [--dies 8] [--tests 10]
 
@@ -101,10 +101,12 @@ from typing import List, Optional
 
 from repro.analysis.drift import DriftAnalysis
 from repro.analysis.statistics import ascii_histogram
-from repro.core.characterizer import DeviceCharacterizer
+from repro.core.characterizer import DEFAULT_SEARCH_RANGE, DeviceCharacterizer
 from repro.core.learning import LearningConfig
 from repro.core.lot import EnvironmentalSweep, LotCharacterizer
 from repro.core.optimization import OptimizationConfig
+from repro.farm.executor import BACKENDS, make_executor
+from repro.farm.remote.protocol import DEFAULT_LEASE_TIMEOUT_S
 from repro.ga.engine import GAConfig
 from repro.patterns.conditions import NOMINAL_CONDITION
 from repro.patterns.march import available_march_tests
@@ -181,7 +183,7 @@ def _add_telemetry_arguments(parser, suppress_defaults: bool = False) -> None:
 
 
 #: Subcommands that route their work through the tester farm.
-_FARM_COMMANDS = ("lot", "wafer", "sweep", "campaign", "screen")
+FARM_COMMANDS = ("lot", "wafer", "sweep", "campaign", "screen")
 
 
 def _add_farm_arguments(parser, suppress_defaults: bool = False) -> None:
@@ -196,7 +198,7 @@ def _add_farm_arguments(parser, suppress_defaults: bool = False) -> None:
         default=suppress if suppress_defaults else None,
         help=(
             "run work units on N worker processes "
-            f"(honoured by: {', '.join(_FARM_COMMANDS)})"
+            f"(honoured by: {', '.join(FARM_COMMANDS)})"
         ),
     )
     group.add_argument(
@@ -210,7 +212,7 @@ def _add_farm_arguments(parser, suppress_defaults: bool = False) -> None:
     )
     group.add_argument(
         "--backend",
-        choices=("serial", "process", "remote"),
+        choices=BACKENDS,
         default=suppress if suppress_defaults else None,
         help=(
             "executor backend (default: process pool when --workers > 1, "
@@ -229,8 +231,6 @@ def _farm_kwargs(args) -> dict:
     """``workers=``/``checkpoint=``/``executor=`` keywords from the flags."""
     kwargs = {"workers": args.workers, "checkpoint": args.resume}
     if args.backend:
-        from repro.farm.executor import make_executor
-
         try:
             kwargs["executor"] = make_executor(
                 workers=args.workers,
@@ -242,8 +242,10 @@ def _farm_kwargs(args) -> dict:
     return kwargs
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser(parser_class=argparse.ArgumentParser):
+    """The CLI's argument parser; every parser in it (subcommands
+    included) is a ``parser_class``."""
+    parser = parser_class(
         prog="repro-characterize",
         description=(
             "Computational-intelligence device characterization "
@@ -320,12 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     screen.add_argument("--tests", type=int, default=40)
     screen.add_argument(
         "--step", type=float, default=0.25, help="strobe grid spacing in ns"
-    )
-    screen.add_argument(
-        "--engine",
-        default="batched",
-        choices=("batched", "scalar"),
-        help="row evaluation engine (results are identical; batched is faster)",
     )
 
     commands.add_parser(
@@ -497,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output path (default: TRACE with a .html suffix)",
     )
     obs_report.add_argument(
-        "--runs", metavar="FILE",
+        "--runs", dest="history_file", metavar="FILE",
         help="runs.jsonl history to include as the run-history table",
     )
     obs_report.add_argument(
@@ -572,10 +568,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks a free one; the address is printed)",
     )
     farm_broker.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="S",
+        "--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT_S,
+        metavar="S",
         help=(
             "seconds a silent worker may hold a unit before it is "
-            "re-issued (default: 30)"
+            f"re-issued (default: {DEFAULT_LEASE_TIMEOUT_S:g})"
         ),
     )
     farm_broker.add_argument(
@@ -722,8 +719,7 @@ def _add_service_parsers(commands) -> None:
         help="farm workers for the job's campaign (farm commands only)",
     )
     submit.add_argument(
-        "--backend", choices=("serial", "process", "remote"),
-        default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="executor backend for the job's campaign (farm commands "
         "only; 'remote' needs the service to run with --broker)",
     )
@@ -951,9 +947,7 @@ def _cmd_screen(args) -> int:
             **_farm_kwargs(args),
         )
     else:
-        report = characterizer.wcr_screen(
-            tests, strobe_step=args.step, engine=args.engine
-        )
+        report = characterizer.wcr_screen(tests, strobe_step=args.step)
     print(report.render())
     worst = report.worst()
     wcr = "unbounded" if worst.wcr is None else f"{worst.wcr:.3f}"
@@ -988,7 +982,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_lot(args) -> int:
-    lot = LotCharacterizer(search_range=(15.0, 45.0), seed=args.seed)
+    lot = LotCharacterizer(search_range=DEFAULT_SEARCH_RANGE, seed=args.seed)
     tests = [
         t.with_condition(NOMINAL_CONDITION)
         for t in RandomTestGenerator(seed=args.seed).batch(args.tests)
@@ -1009,7 +1003,7 @@ def _cmd_wafer(args) -> int:
     wafer = Wafer(grid_diameter=args.grid)
     variation = RadialVariationModel(seed=args.seed)
     prober = WaferProber(
-        wafer, variation, search_range=(15.0, 45.0), seed=args.seed
+        wafer, variation, search_range=DEFAULT_SEARCH_RANGE, seed=args.seed
     )
     tests = [
         t.with_condition(NOMINAL_CONDITION)
@@ -1062,10 +1056,11 @@ def _cmd_campaign(args) -> int:
 def _resolve_history(args):
     """The run history an obs subcommand should work against.
 
-    Exactly one of the positional RUNS jsonl path and ``--db`` must be
-    given; ``--db`` opens the :class:`repro.store.ResultStore` and
-    adapts it to the :class:`~repro.obs.history.RunHistory` interface,
-    so the comparison/import code is identical for both backends.
+    Exactly one of the RUNS jsonl path (``obs report --runs``) and
+    ``--db`` must be given; ``--db`` opens the
+    :class:`repro.store.ResultStore` and adapts it to the
+    :class:`~repro.obs.history.RunHistory` interface, so the
+    comparison/import/report code is identical for both backends.
     Returns ``None`` (after printing the usage error) when the choice
     is ambiguous or absent.
     """
@@ -1213,19 +1208,12 @@ def _cmd_obs(args) -> int:
         print(obs.render_insight(obs.build_insight(loaded.records)))
     elif args.obs_command == "report":
         runs = None
-        if args.runs and args.db:
-            print(
-                "error: give either --runs or --db, not both",
-                file=sys.stderr,
-            )
-            return 2
-        if args.db:
-            from repro.store import ResultStore
-
-            runs = ResultStore(args.db).run_history().load().records
-        elif args.runs:
+        if args.history_file or args.db:
+            history = _resolve_history(args)
+            if history is None:
+                return 2
             try:
-                runs = obs.RunHistory(args.runs).load().records
+                runs = history.load().records
             except OSError as exc:
                 print(
                     f"error: cannot read run history: {exc}",
@@ -1447,12 +1435,11 @@ def _cmd_jobs(args) -> int:
     import json
 
     from repro.service import ServiceClient, ServiceError
-    from repro.service.spec import JOB_COMMANDS, JobSpec, SpecError
+    from repro.service.spec import JobSpec, SpecError, param_from_text
 
     client = ServiceClient(args.url)
     try:
         if args.jobs_command == "submit":
-            allowed = JOB_COMMANDS[args.job_command]
             params = {}
             for item in args.param:
                 key, sep, raw = item.partition("=")
@@ -1463,43 +1450,15 @@ def _cmd_jobs(args) -> int:
                         file=sys.stderr,
                     )
                     return 2
-                kind = allowed.get(key)
-                if kind is None:
-                    print(
-                        f"error: unknown parameter {key!r} for "
-                        f"{args.job_command!r}; allowed: "
-                        f"{', '.join(sorted(allowed)) or '(none)'}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                try:
-                    if kind is bool:
-                        params[key] = raw.lower() in ("1", "true", "yes")
-                    else:
-                        params[key] = kind(raw)
-                except ValueError:
-                    print(
-                        f"error: parameter {key!r} must be "
-                        f"{kind.__name__}, got {raw!r}",
-                        file=sys.stderr,
-                    )
-                    return 2
+                params[key] = param_from_text(args.job_command, key, raw)
             try:
                 spec = JobSpec.from_payload(
                     {
                         "command": args.job_command,
                         "params": params,
                         "seed": args.seed,
-                        **(
-                            {"workers": args.workers}
-                            if args.workers is not None
-                            else {}
-                        ),
-                        **(
-                            {"backend": args.backend}
-                            if args.backend is not None
-                            else {}
-                        ),
+                        "workers": args.workers,
+                        "backend": args.backend,
                     }
                 )
             except SpecError as exc:
@@ -1711,13 +1670,6 @@ _COMMANDS = {
     "farm-worker": _cmd_farm_worker,
 }
 
-#: Commands that never run a campaign in this process: no telemetry
-#: setup/teardown (``serve`` job subprocesses carry their own traces;
-#: remote workers spool telemetry back to the submitting client).
-_NO_TELEMETRY_COMMANDS = (
-    "obs", "serve", "jobs", "store", "farm-broker", "farm-top", "farm-worker"
-)
-
 
 def _telemetry_requested(args) -> bool:
     return bool(
@@ -1810,11 +1762,13 @@ def _teardown_observability(args, wall_s: float = 0.0) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from repro.service.spec import JOB_COMMANDS
+
     args = _build_parser().parse_args(argv)
-    if args.command in _NO_TELEMETRY_COMMANDS:
-        # Pure inspection / service plumbing: no campaign runs in this
-        # process, so no observability setup/teardown (the obs layer
-        # stays off; service jobs trace in their own subprocesses).
+    if args.command not in JOB_COMMANDS:
+        # Not a campaign (those are exactly the submittable commands):
+        # no observability setup/teardown; service jobs trace in their
+        # own subprocesses, remote workers spool back to the client.
         try:
             return _COMMANDS[args.command](args)
         except BrokenPipeError:
@@ -1823,11 +1777,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
     if (
         (args.workers or args.resume or args.backend or args.broker)
-        and args.command not in _FARM_COMMANDS
+        and args.command not in FARM_COMMANDS
     ):
         print(
             f"note: --workers/--resume/--backend/--broker are ignored by "
-            f"{args.command!r} (honoured by: {', '.join(_FARM_COMMANDS)})",
+            f"{args.command!r} (honoured by: {', '.join(FARM_COMMANDS)})",
             file=sys.stderr,
         )
     _setup_observability(args)

@@ -36,6 +36,10 @@ from repro.patterns.conditions import NOMINAL_CONDITION, TestCondition
 from repro.patterns.random_gen import RandomTestGenerator
 
 
+#: The worst-case database's filename inside a saved campaign directory.
+DATABASE_FILENAME = "worst_case_db.json"
+
+
 @dataclass
 class CampaignReport:
     """Everything a characterization campaign produced."""
@@ -98,7 +102,7 @@ class CampaignReport:
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
         (target / "report.md").write_text(self.to_markdown())
-        self.database.export_json(target / "worst_case_db.json")
+        self.database.export_json(target / DATABASE_FILENAME)
         self.database.export_patterns(target / "patterns")
         return target
 

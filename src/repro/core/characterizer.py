@@ -335,21 +335,18 @@ class DeviceCharacterizer:
         self,
         tests: Sequence[TestCase],
         strobe_step: float = 0.5,
-        engine: str = "batched",
     ):
         """Grid-based WCR classification screen over the search range.
 
         Every test is measured on the same full strobe grid (one batched
-        row per test by default) and classified pass/weakness/fail per
-        fig. 6; returns a :class:`~repro.core.wcr.ScreenReport`.
+        row per test) and classified pass/weakness/fail per fig. 6;
+        returns a :class:`~repro.core.wcr.ScreenReport`.
         """
         from repro.core.wcr import WCRScreen
 
         low, high = self.search_range
         with span("screen"):
-            return WCRScreen(self.ate).run(
-                tests, low, high, strobe_step, engine=engine
-            )
+            return WCRScreen(self.ate).run(tests, low, high, strobe_step)
 
     # -- fig. 8 ---------------------------------------------------------------------
     def shmoo_overlay(

@@ -491,6 +491,10 @@ class ParallelExecutor(_ExecutorBase):
             raise FarmExecutionError(failures)
 
 
+#: Executor backends :func:`make_executor` can build by name.
+BACKENDS = ("serial", "process", "remote")
+
+
 def make_executor(
     workers: Optional[int] = None,
     executor: Optional[ExecutorBackend] = None,
@@ -526,7 +530,7 @@ def make_executor(
             return SerialExecutor(**kwargs)
         raise ValueError(
             f"unknown farm backend {backend!r}; "
-            f"expected serial, process or remote"
+            f"expected one of {', '.join(BACKENDS)}"
         )
     if workers is not None and workers > 1:
         return ParallelExecutor(workers=workers, **kwargs)

@@ -24,7 +24,6 @@ See :mod:`repro.farm.remote.protocol` for the frame vocabulary and
 """
 
 from repro.farm.remote.broker import (
-    DEFAULT_LEASE_TIMEOUT_S,
     DEFAULT_POLL_S,
     FarmBroker,
     ResultSpool,
@@ -32,6 +31,7 @@ from repro.farm.remote.broker import (
 from repro.farm.remote.executor import RemoteExecutor, RemoteFarmError
 from repro.farm.remote.leases import Lease, LeaseTable
 from repro.farm.remote.protocol import (
+    DEFAULT_LEASE_TIMEOUT_S,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,

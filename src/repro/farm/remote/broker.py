@@ -50,6 +50,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.farm.remote.leases import LeaseTable
 from repro.farm.remote.protocol import (
+    DEFAULT_LEASE_TIMEOUT_S,
     PROTOCOL_VERSION,
     ProtocolError,
     recv_frame,
@@ -75,10 +76,6 @@ logger = logging.getLogger("repro.farm.remote")
 
 #: How long an idle worker is told to wait before asking again.
 DEFAULT_POLL_S = 0.25
-
-#: Default lease lifetime; generous against heartbeat jitter, small
-#: enough that a SIGKILLed worker's units re-issue promptly.
-DEFAULT_LEASE_TIMEOUT_S = 30.0
 
 _SPOOL_SCHEMA = 1
 _SPOOL_KIND = "repro.farm.remote.spool"

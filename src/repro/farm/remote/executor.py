@@ -33,6 +33,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.farm.executor import FarmExecutionError, _ExecutorBase
 from repro.farm.remote.protocol import (
+    DEFAULT_LEASE_TIMEOUT_S,
     PROTOCOL_VERSION,
     ProtocolError,
     pack,
@@ -46,10 +47,6 @@ from repro.farm.remote.telemetry import clock_stamp
 from repro.farm.scheduler import Scheduler
 from repro.obs.events import BrokerClockSync
 from repro.obs.runtime import OBS
-
-#: Default lease lifetime requested from the broker, mirroring
-#: :data:`repro.farm.remote.broker.DEFAULT_LEASE_TIMEOUT_S`.
-DEFAULT_LEASE_S = 30.0
 
 
 class RemoteFarmError(RuntimeError):
@@ -86,7 +83,7 @@ class RemoteExecutor(_ExecutorBase):
         broker: Union[str, Tuple[str, int]],
         scheduler: Optional[Scheduler] = None,
         max_attempts: int = 2,
-        lease_timeout_s: float = DEFAULT_LEASE_S,
+        lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
         connect_timeout_s: float = 10.0,
     ) -> None:
         super().__init__(scheduler=scheduler, max_attempts=max_attempts)

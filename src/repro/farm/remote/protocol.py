@@ -82,6 +82,12 @@ PROTOCOL_VERSION = 1
 #: corrupt length prefix cannot make a peer try to allocate gigabytes.
 MAX_FRAME_BYTES = 128 * 1024 * 1024
 
+#: Default lease lifetime in seconds (broker, client request and a
+#: worker's heartbeat cadence all fall back to it); generous against
+#: heartbeat jitter, small enough that a SIGKILLed worker's units
+#: re-issue promptly.
+DEFAULT_LEASE_TIMEOUT_S = 30.0
+
 _LENGTH = struct.Struct(">I")
 
 

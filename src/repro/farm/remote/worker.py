@@ -36,6 +36,7 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.farm.remote.protocol import (
+    DEFAULT_LEASE_TIMEOUT_S,
     PROTOCOL_VERSION,
     ProtocolError,
     pack,
@@ -271,7 +272,7 @@ def run_worker(
             if kind != "unit":
                 continue
             idle_since = None
-            lease_s = float(frame.get("lease_s") or 30.0)
+            lease_s = float(frame.get("lease_s") or DEFAULT_LEASE_TIMEOUT_S)
             pump = _HeartbeatPump(
                 sock, send_lock,
                 key=str(frame["key"]),

@@ -48,7 +48,6 @@ from repro.service.server import (
     serve_in_thread,
 )
 from repro.service.spec import (
-    FARM_JOB_COMMANDS,
     JOB_COMMANDS,
     JobSpec,
     SpecError,
@@ -57,7 +56,6 @@ from repro.service.spec import (
 __all__ = [
     "CharacterizationServer",
     "DEFAULT_READY_QUEUE_LIMIT",
-    "FARM_JOB_COMMANDS",
     "JOB_COMMANDS",
     "JobManager",
     "JobOutcome",

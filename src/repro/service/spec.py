@@ -10,50 +10,86 @@ per-job telemetry trace).
 
 The whitelist is the security boundary: only known commands, only known
 parameters, only scalar values.  Nothing a client sends is ever
-interpreted as a flag name or shell text.
+interpreted as a flag name or shell text.  Everything else about a
+parameter — its type, its choices, its number syntax — is declared once,
+by the CLI subcommand: a spec is accepted only if the CLI's own parser
+accepts the argv it becomes.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-#: Parameter whitelists per submittable command, mirroring the CLI
-#: subcommands (parameter ``random_tests`` becomes ``--random-tests``).
-JOB_COMMANDS: Dict[str, Dict[str, type]] = {
-    "march": {"algorithm": str, "background": str},
-    "random": {"tests": int},
-    "table1": {"random_tests": int, "fast": bool},
-    "hunt": {},
-    "shmoo": {"tests": int},
-    "screen": {"tests": int, "step": float, "engine": str},
-    "sweep": {},
-    "lot": {"dies": int, "tests": int},
-    "wafer": {"grid": int, "tests": int},
-    "campaign": {"random_tests": int},
+from repro.cli import FARM_COMMANDS, _build_parser
+from repro.core.campaign import DATABASE_FILENAME
+
+#: The campaign commands a client may submit, and per command the names
+#: of the options it may set (parameter ``random_tests`` becomes
+#: ``--random-tests``).  Path flags and telemetry flags never appear.
+JOB_COMMANDS: Dict[str, Tuple[str, ...]] = {
+    "march": ("algorithm", "background"),
+    "random": ("tests",),
+    "table1": ("random_tests", "fast"),
+    "hunt": (),
+    "shmoo": ("tests",),
+    "screen": ("tests", "step"),
+    "sweep": (),
+    "lot": ("dies", "tests"),
+    "wafer": ("grid", "tests"),
+    "campaign": ("random_tests",),
 }
 
-#: Commands that can export a worst-case database, and how: the flag to
-#: pass and the filename it lands under (relative to the flag target).
-_WCDB_EXPORTS: Dict[str, Tuple[str, str]] = {
-    "hunt": ("--database", ""),       # flag takes the file path itself
-    "lot": ("--database", ""),
-    "campaign": ("--out", "worst_case_db.json"),  # directory export
+#: Commands that can export a worst-case database, and the flag that
+#: points the export into the job directory.
+_WCDB_EXPORTS: Dict[str, str] = {
+    "hunt": "--database",       # flag takes the file path itself
+    "lot": "--database",
+    "campaign": "--out",        # directory export
 }
-
-#: Commands that honour the farm flags (mirrors ``cli._FARM_COMMANDS``).
-FARM_JOB_COMMANDS = ("lot", "wafer", "sweep", "campaign", "screen")
-
-
-#: Executor backends a job may request (``remote`` additionally needs
-#: the service to be started with a broker address).
-JOB_BACKENDS = ("serial", "process", "remote")
 
 
 class SpecError(ValueError):
     """A submitted spec failed validation (HTTP 400 territory)."""
+
+
+class _SpecParser(argparse.ArgumentParser):
+    """Reports a bad argv as a :class:`SpecError` instead of exiting."""
+
+    def error(self, message: str):
+        raise SpecError(message)
+
+
+@functools.lru_cache(maxsize=None)
+def _cli_parser() -> argparse.ArgumentParser:
+    return _build_parser(parser_class=_SpecParser)
+
+
+@functools.lru_cache(maxsize=None)
+def _param_kinds(command: str) -> Dict[str, type]:
+    """Each allowed parameter's kind: the type of its CLI default."""
+    defaults = vars(_cli_parser().parse_args([command]))
+    return {name: type(defaults[name]) for name in JOB_COMMANDS[command]}
+
+
+def param_from_text(command: str, name: str, text: str) -> object:
+    """A ``-p NAME=TEXT`` value converted by the parameter's kind.
+
+    Text that does not convert, and a name the command does not allow,
+    come back unchanged, for :meth:`JobSpec.from_payload` to reject with
+    the same message the server would send.
+    """
+    kind = _param_kinds(command).get(name, str)
+    if kind is bool:
+        return text.lower() in ("1", "true", "yes")
+    try:
+        return kind(text)
+    except ValueError:
+        return text
 
 
 @dataclass(frozen=True)
@@ -73,8 +109,9 @@ class JobSpec:
         Raises
         ------
         SpecError
-            Unknown command, unknown or mistyped parameter, or a
-            malformed payload — with a message fit for an HTTP 400.
+            Unknown command, unknown or mistyped parameter, a value the
+            CLI subcommand rejects, or a malformed payload — with a
+            message fit for an HTTP 400.
         """
         if not isinstance(payload, dict):
             raise SpecError("spec must be a JSON object")
@@ -89,7 +126,7 @@ class JobSpec:
                 f"unknown command {command!r}; submittable commands: "
                 f"{', '.join(sorted(JOB_COMMANDS))}"
             )
-        allowed = JOB_COMMANDS[command]
+        allowed = _param_kinds(command)
         raw_params = payload.get("params") or {}
         if not isinstance(raw_params, dict):
             raise SpecError("params must be a JSON object")
@@ -102,36 +139,26 @@ class JobSpec:
                 )
             params[name] = _coerce(name, value, allowed[name])
         seed = payload.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
+        if type(seed) is not int:  # a bool is not an int
             raise SpecError("seed must be an integer")
         workers = payload.get("workers")
-        if workers is not None and (
-            isinstance(workers, bool)
-            or not isinstance(workers, int)
-            or workers < 1
-        ):
+        if workers is not None and (type(workers) is not int or workers < 1):
             raise SpecError("workers must be a positive integer")
-        if workers is not None and command not in FARM_JOB_COMMANDS:
-            raise SpecError(
-                f"{command!r} does not honour workers; farm commands: "
-                f"{', '.join(FARM_JOB_COMMANDS)}"
-            )
         backend = payload.get("backend")
-        if backend is not None:
-            if backend not in JOB_BACKENDS:
+        for option, value in (("workers", workers), ("a backend", backend)):
+            if value is not None and command not in FARM_COMMANDS:
                 raise SpecError(
-                    f"unknown backend {backend!r}; allowed: "
-                    f"{', '.join(JOB_BACKENDS)}"
+                    f"{command!r} does not honour {option}; farm "
+                    f"commands: {', '.join(FARM_COMMANDS)}"
                 )
-            if command not in FARM_JOB_COMMANDS:
-                raise SpecError(
-                    f"{command!r} does not honour a backend; farm "
-                    f"commands: {', '.join(FARM_JOB_COMMANDS)}"
-                )
-        return cls(
+        spec = cls(
             command=command, params=params, seed=seed,
             workers=workers, backend=backend,
         )
+        # Choices, number syntax and backend names: whatever the job's
+        # CLI subprocess would refuse is refused here, at submit.
+        _cli_parser().parse_args(spec.cli_argv(Path(".")))
+        return spec
 
     def to_payload(self) -> Dict[str, object]:
         """The JSON shape :meth:`from_payload` accepts (round-trips)."""
@@ -169,7 +196,7 @@ class JobSpec:
         if self.workers is not None:
             argv += ["--workers", str(self.workers)]
         if self.backend is not None:
-            argv += ["--backend", self.backend]
+            argv += ["--backend", str(self.backend)]
             if self.backend == "remote" and broker:
                 argv += ["--broker", broker]
         argv.append(self.command)
@@ -181,12 +208,11 @@ class JobSpec:
                     argv.append(flag)
             else:
                 argv += [flag, str(value)]
-        if self.command in _WCDB_EXPORTS:
-            flag, _ = _WCDB_EXPORTS[self.command]
-            if flag == "--out":
-                argv += [flag, str(job_dir / CAMPAIGN_DIRNAME)]
-            else:
-                argv += [flag, str(job_dir / WCDB_FILENAME)]
+        flag = _WCDB_EXPORTS.get(self.command)
+        if flag == "--out":
+            argv += [flag, str(job_dir / CAMPAIGN_DIRNAME)]
+        elif flag is not None:
+            argv += [flag, str(job_dir / WCDB_FILENAME)]
         return argv
 
     def full_argv(
@@ -199,28 +225,21 @@ class JobSpec:
 
     def wcdb_path(self, job_dir: Path) -> Optional[Path]:
         """Where this job's worst-case export lands (``None`` if never)."""
-        if self.command not in _WCDB_EXPORTS:
-            return None
-        flag, filename = _WCDB_EXPORTS[self.command]
+        flag = _WCDB_EXPORTS.get(self.command)
         if flag == "--out":
-            return job_dir / CAMPAIGN_DIRNAME / filename
-        return job_dir / WCDB_FILENAME
+            return job_dir / CAMPAIGN_DIRNAME / DATABASE_FILENAME
+        if flag is not None:
+            return job_dir / WCDB_FILENAME
+        return None
 
 
 def _coerce(name: str, value: object, kind: type) -> object:
-    """Type-check one whitelisted parameter value (no string parsing)."""
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-    elif kind is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-    elif kind is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    elif kind is str:
-        if isinstance(value, str):
-            return value
+    """Type-check one whitelisted parameter value (no string parsing;
+    a bool is not an int, an int is a float)."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is kind:
+        return value
     raise SpecError(
         f"parameter {name!r} must be of type {kind.__name__}, "
         f"got {type(value).__name__}"

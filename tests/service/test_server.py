@@ -143,6 +143,19 @@ class TestValidationOverHTTP:
         assert err.value.status == 400
         assert "unknown command" in str(err.value)
 
+    def test_bad_choice_is_400_and_creates_no_job(self, service):
+        # The CLI subcommand rejects the value, so the service does too —
+        # at submit, not as a job that is queued and then fails.
+        client, manager = service
+        with pytest.raises(ServiceError) as err:
+            client.submit(
+                JobSpec(command="march", params={"algorithm": "nope"})
+            )
+        assert err.value.status == 400
+        assert "invalid choice: 'nope'" in str(err.value)
+        assert "march_c-" in str(err.value)
+        assert manager.store.list_jobs() == []
+
     def test_non_json_body_is_400(self, service):
         client, manager = service
         request = urllib.request.Request(

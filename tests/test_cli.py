@@ -18,6 +18,25 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             main(["march", "--algorithm", "march_zz"])
 
+    def test_jobs_submit_rejects_bad_choice_before_sending(
+        self, capsys, monkeypatch
+    ):
+        from repro.service import ServiceClient
+        from repro.service.spec import JobSpec, SpecError
+
+        sent = []
+        monkeypatch.setattr(ServiceClient, "submit", sent.append)
+        assert main(
+            ["jobs", "submit", "--url", "http://127.0.0.1:9", "march",
+             "-p", "algorithm=nope"]
+        ) == 2
+        assert sent == []
+        with pytest.raises(SpecError) as err:
+            JobSpec.from_payload(
+                {"command": "march", "params": {"algorithm": "nope"}}
+            )
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
 
 class TestCommands:
     def test_march(self, capsys):
