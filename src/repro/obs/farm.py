@@ -48,7 +48,7 @@ WORKER_CLOCKED_TYPES = frozenset(
     {
         "measurement",
         "resource_sample",
-        "profile_recorded",
+        "profile",
         "search_started",
         "search_converged",
         "sutp_walk_step",

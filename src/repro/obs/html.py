@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.insight import RunInsight, build_insight
-from repro.obs.profile import worker_utilization
-from repro.obs.report import per_test_measurement_counts
+from repro.obs.report import TraceRollup, WorkerUtilization
 
 # Sequential blue ramp (light -> dark) for the heatmap's pass fraction.
 _HEAT_RAMP = (
@@ -396,8 +395,7 @@ def _section(title: str, *body: str) -> str:
     ) + "</div>"
 
 
-def _cost_profile_section(records: Sequence[Dict[str, object]]) -> str:
-    groups = per_test_measurement_counts(records)
+def _cost_profile_section(groups: Sequence[Tuple[str, int]]) -> str:
     if not groups:
         return _section(
             "Measurement-cost profile (fig. 3)",
@@ -684,7 +682,10 @@ _SERIES_CYCLE = (
 )
 
 
-def _resource_section(records: Sequence[Dict[str, object]]) -> str:
+def _resource_section(
+    records: Sequence[Dict[str, object]],
+    util_rows: Sequence[WorkerUtilization],
+) -> str:
     """RSS / CPU% charts per process plus the worker-utilization table.
 
     ``resource_sample`` events only exist when the run was profiled
@@ -699,7 +700,6 @@ def _resource_section(records: Sequence[Dict[str, object]]) -> str:
             continue
         worker = str(record.get("worker", "") or "serial")
         by_worker.setdefault(worker, []).append(record)
-    util_rows = worker_utilization(records)
     if not by_worker:
         return _section(
             "Resources & utilization",
@@ -852,10 +852,7 @@ def build_html_report(
     """
     materialized = list(records)
     insight = build_insight(materialized)
-    event_count = len(materialized)
-    measurement_count = sum(
-        1 for r in materialized if r.get("type") == "measurement"
-    )
+    rollup = TraceRollup.of(materialized)
     head = (
         "<!DOCTYPE html>\n"
         '<html lang="en"><head><meta charset="utf-8"/>'
@@ -865,18 +862,18 @@ def build_html_report(
     body = [
         '<body class="viz-root">',
         f"<h1>{_esc(title)}</h1>",
-        f'<p class="sub">{event_count} trace event(s), '
-        f"{measurement_count} tester measurement(s).</p>",
+        f'<p class="sub">{rollup.events} trace event(s), '
+        f"{rollup.measurements} tester measurement(s).</p>",
         _section(
             "Shmoo (pass fraction)",
             _shmoo_heatmap(materialized),
         ),
-        _cost_profile_section(materialized),
+        _cost_profile_section(rollup.measurement_groups),
         _sutp_section(insight),
         _votes_section(insight),
         _ga_section(insight),
         _wcr_section(insight),
-        _resource_section(materialized),
+        _resource_section(materialized, rollup.worker_utilization()),
         _history_section(runs),
         '<p class="note">Generated by repro obs report &#8212; '
         "self-contained, no external assets, no scripts.</p>",

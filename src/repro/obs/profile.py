@@ -44,6 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.obs import timing
 from repro.obs.events import EventBus, ProfileRecorded, ResourceSample
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import TraceRollup, WorkerUtilization
 from repro.obs.runtime import OBS
 
 #: Default sampling cadence: ~100 Hz keeps per-sample cost invisible
@@ -589,86 +590,14 @@ def write_folded(
 # -- worker utilization --------------------------------------------------------------
 
 
-@dataclass
-class WorkerUtilization:
-    """One worker's busy/idle picture over a farm run."""
-
-    worker: str
-    units: int = 0
-    busy_s: float = 0.0
-    span_s: float = 0.0
-    cpu_s: float = 0.0
-    peak_rss_kb: int = 0
-
-    @property
-    def utilization(self) -> float:
-        """Busy fraction of the run span (0..1; 0 when span unknown)."""
-        if self.span_s <= 0:
-            return 0.0
-        return min(1.0, self.busy_s / self.span_s)
-
-
 def worker_utilization(
     records: Iterable[Dict[str, object]],
 ) -> List[WorkerUtilization]:
     """Per-worker busy/idle utilization derived from unit spans.
 
-    Busy time sums each worker's ``farm_unit_completed`` durations; the
-    run span stretches from ``farm_run_started`` (or the earliest unit
-    start) to the last completion, so idle time is scheduling gaps plus
-    tail imbalance.  CPU seconds and peak RSS come from each worker's
-    ``resource_sample`` series when profiling was on.
+    A view of :meth:`repro.obs.report.TraceRollup.worker_utilization`.
     """
-    rows: Dict[str, WorkerUtilization] = {}
-    run_start: Optional[float] = None
-    run_end: Optional[float] = None
-    cpu_bounds: Dict[str, Tuple[float, float]] = {}
-    for record in records:
-        kind = record.get("type")
-        if kind == "farm_run_started":
-            ts = record.get("ts")
-            if isinstance(ts, (int, float)):
-                run_start = float(ts) if run_start is None else min(
-                    run_start, float(ts)
-                )
-        elif kind == "farm_unit_completed":
-            worker = str(record.get("worker", "") or "serial")
-            row = rows.get(worker)
-            if row is None:
-                row = rows[worker] = WorkerUtilization(worker=worker)
-            elapsed = float(record.get("elapsed_s", 0.0) or 0.0)
-            row.units += 1
-            row.busy_s += elapsed
-            ts = record.get("ts")
-            if isinstance(ts, (int, float)):
-                end = float(ts)
-                run_end = end if run_end is None else max(run_end, end)
-                start = end - elapsed
-                run_start = start if run_start is None else min(
-                    run_start, start
-                )
-        elif kind == "resource_sample":
-            worker = str(record.get("worker", "") or "serial")
-            cpu = float(record.get("cpu_user_s", 0.0) or 0.0) + float(
-                record.get("cpu_system_s", 0.0) or 0.0
-            )
-            low, high = cpu_bounds.get(worker, (cpu, cpu))
-            cpu_bounds[worker] = (min(low, cpu), max(high, cpu))
-            row = rows.get(worker)
-            if row is not None:
-                row.peak_rss_kb = max(
-                    row.peak_rss_kb, int(record.get("max_rss_kb", 0) or 0)
-                )
-    span = 0.0
-    if run_start is not None and run_end is not None:
-        span = max(0.0, run_end - run_start)
-    for worker, row in rows.items():
-        row.span_s = round(span, 6)
-        row.busy_s = round(row.busy_s, 6)
-        bounds = cpu_bounds.get(worker)
-        if bounds is not None:
-            row.cpu_s = round(bounds[1] - bounds[0], 6)
-    return sorted(rows.values(), key=lambda r: r.worker)
+    return TraceRollup.of(records).worker_utilization()
 
 
 def render_worker_utilization(rows: Sequence[WorkerUtilization]) -> str:

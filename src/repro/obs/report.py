@@ -1,6 +1,9 @@
 """Render telemetry into human-readable cost summaries.
 
-Two views of one campaign:
+:class:`TraceRollup` folds a trace's records once into every tally the
+read side reports; ``obs summary``, ``obs slowest``, worker utilization,
+the HTML report and live job progress are views of it.  Two views of one
+campaign live here:
 
 * :func:`render_metrics_summary` — the registry as an aligned text table:
   every counter (with its top label breakdown — e.g. measurements per
@@ -15,7 +18,8 @@ Two views of one campaign:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -78,6 +82,179 @@ def load_trace(path: Union[str, Path]) -> TraceLoadResult:
     return loaded
 
 
+@dataclass
+class WorkerUtilization:
+    """One worker's busy/idle picture over a farm run."""
+
+    worker: str
+    units: int = 0
+    busy_s: float = 0.0
+    span_s: float = 0.0
+    cpu_s: float = 0.0
+    peak_rss_kb: int = 0
+
+    @property
+    def utilization(self) -> float:
+        """Busy fraction of the run span (0..1; 0 when span unknown)."""
+        if self.span_s <= 0:
+            return 0.0
+        return min(1.0, self.busy_s / self.span_s)
+
+
+@dataclass
+class UnitRow:
+    """The last ``farm_unit_completed`` record seen for one unit key."""
+
+    key: str
+    attempt: int
+    elapsed_s: float
+    measurements: int
+    worker: str
+
+
+@dataclass
+class TraceRollup:
+    """Every tally the trace read side reports, folded in one pass.
+
+    Feed records in trace order with :meth:`add` (or build one with
+    :meth:`of`).  ``obs summary``/``slowest``, worker utilization, the
+    HTML report and live job progress are all views of this one fold,
+    so they cannot disagree, and a tailing reader (the SSE stream) can
+    keep adding lines as the trace grows.  Plain event counts (unit
+    completions, retries, skips, profile sessions) live in ``counts``.
+    """
+
+    events: int = 0
+    counts: Dict[str, int] = field(default_factory=dict)
+    #: Consecutive ``measurement`` events of one test, in trace order.
+    measurement_groups: List[Tuple[str, int]] = field(default_factory=list)
+    #: One row per unit key; the last completion wins.
+    units: Dict[str, UnitRow] = field(default_factory=dict)
+    units_total: int = 0
+    dropped_events: int = 0
+    checkpoint_dropped_lines: int = 0
+    #: Per worker, over every completion event; ``peak_rss_kb`` counts
+    #: the worker's resource samples from its first completion on.
+    workers: Dict[str, WorkerUtilization] = field(default_factory=dict)
+    #: Lowest and highest cumulative CPU seconds sampled per process.
+    cpu_bounds: Dict[str, Tuple[float, float]] = field(default_factory=dict)
+    peak_rss_kb: int = 0
+    run_start: float = math.inf
+    run_end: float = -math.inf
+    phases: List[str] = field(default_factory=list)
+    profile_weight: int = 0
+    profile_unit: Optional[str] = None
+
+    @classmethod
+    def of(cls, records: Iterable[Dict[str, object]]) -> "TraceRollup":
+        rollup = cls()
+        for record in records:
+            rollup.add(record)
+        return rollup
+
+    def add(self, record: Dict[str, object]) -> None:
+        """Fold one trace record in."""
+        self.events += 1
+        kind = str(record.get("type"))
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        if kind == "measurement":
+            name = str(record.get("test_name", "unnamed"))
+            groups = self.measurement_groups
+            if groups and groups[-1][0] == name:
+                groups[-1] = (name, groups[-1][1] + 1)
+            else:
+                groups.append((name, 1))
+        elif kind == "farm_unit_completed":
+            self._unit_completed(record)
+        elif kind == "resource_sample":
+            worker = str(record.get("worker", "") or "serial")
+            cpu = float(record.get("cpu_user_s", 0.0) or 0.0) + float(
+                record.get("cpu_system_s", 0.0) or 0.0
+            )
+            low, high = self.cpu_bounds.get(worker, (cpu, cpu))
+            self.cpu_bounds[worker] = (min(low, cpu), max(high, cpu))
+            rss = int(record.get("max_rss_kb", 0) or 0)
+            self.peak_rss_kb = max(self.peak_rss_kb, rss)
+            row = self.workers.get(worker)
+            if row is not None:
+                row.peak_rss_kb = max(row.peak_rss_kb, rss)
+        elif kind == "farm_run_started":
+            self.units_total += int(record.get("units", 0) or 0)
+            ts = record.get("ts")
+            if isinstance(ts, (int, float)):
+                self.run_start = min(self.run_start, float(ts))
+        elif kind == "farm_unit_merged":
+            self.dropped_events += int(record.get("dropped_events", 0) or 0)
+        elif kind == "farm_checkpoint_dropped":
+            self.checkpoint_dropped_lines += int(record.get("lines", 0) or 0)
+        elif kind == "campaign_phase":
+            phase = str(record.get("phase", "") or "")
+            if record.get("status") == "start":
+                self.phases.append(phase)
+            elif self.phases and self.phases[-1] == phase:
+                self.phases.pop()
+        elif kind == "profile":
+            self.profile_weight += sum(
+                int(entry[2]) for entry in record.get("folded") or ()
+            )
+            if self.profile_unit is None:
+                self.profile_unit = str(record.get("unit", "samples"))
+
+    def _unit_completed(self, record: Dict[str, object]) -> None:
+        row = UnitRow(
+            key=str(record.get("key")),
+            attempt=int(record.get("attempt", 1) or 1),
+            elapsed_s=float(record.get("elapsed_s", 0.0) or 0.0),
+            measurements=int(record.get("measurements", 0) or 0),
+            worker=str(record.get("worker", "") or "serial"),
+        )
+        self.units[row.key] = row
+        worker = self.workers.setdefault(
+            row.worker, WorkerUtilization(worker=row.worker)
+        )
+        worker.units += 1
+        worker.busy_s += row.elapsed_s
+        ts = record.get("ts")
+        if isinstance(ts, (int, float)):
+            self.run_start = min(self.run_start, float(ts) - row.elapsed_s)
+            self.run_end = max(self.run_end, float(ts))
+
+    @property
+    def measurements(self) -> int:
+        return self.counts.get("measurement", 0)
+
+    def per_test(self) -> Dict[str, int]:
+        """Measurements per test name, over all of the test's groups."""
+        totals: Dict[str, int] = {}
+        for name, count in self.measurement_groups:
+            totals[name] = totals.get(name, 0) + count
+        return totals
+
+    def worker_utilization(self) -> List[WorkerUtilization]:
+        """Per-worker busy/idle utilization over the farm run span.
+
+        Busy time sums each worker's ``farm_unit_completed`` durations;
+        the run span stretches from ``farm_run_started`` (or the earliest
+        unit start) to the last completion, so idle time is scheduling
+        gaps plus tail imbalance.  CPU seconds and peak RSS come from
+        each worker's ``resource_sample`` series when profiling was on.
+        """
+        span = max(0.0, self.run_end - self.run_start)
+        rows = []
+        for worker in sorted(self.workers):
+            row = self.workers[worker]
+            low, high = self.cpu_bounds.get(worker, (0.0, 0.0))
+            rows.append(
+                replace(
+                    row,
+                    span_s=round(span, 6),
+                    busy_s=round(row.busy_s, 6),
+                    cpu_s=round(high - low, 6),
+                )
+            )
+        return rows
+
+
 def render_metrics_summary(
     registry: MetricsRegistry,
     title: str = "telemetry summary",
@@ -120,7 +297,6 @@ def render_metrics_summary(
         lines.append("(no telemetry recorded)")
     return "\n".join(lines)
 
-
 def per_test_measurement_counts(
     records: Iterable[Dict[str, object]],
 ) -> List[Tuple[str, int]]:
@@ -130,16 +306,7 @@ def per_test_measurement_counts(
     per-test group (the same test re-measured later — e.g. the Table-1
     final re-measurement — starts a new group, as on the real tester).
     """
-    groups: List[Tuple[str, int]] = []
-    for record in records:
-        if record.get("type") != "measurement":
-            continue
-        name = str(record.get("test_name", "unnamed"))
-        if groups and groups[-1][0] == name:
-            groups[-1] = (name, groups[-1][1] + 1)
-        else:
-            groups.append((name, 1))
-    return groups
+    return TraceRollup.of(records).measurement_groups
 
 
 def render_trace_cost_profile(
@@ -170,129 +337,57 @@ def render_trace_cost_profile(
     )
     return "\n".join(lines)
 
-
-def _farm_unit_rows(
-    records: Iterable[Dict[str, object]],
-) -> List[Dict[str, object]]:
-    """One row per completed unit (last completion wins on retry)."""
-    rows: Dict[str, Dict[str, object]] = {}
-    for record in records:
-        if record.get("type") != "farm_unit_completed":
-            continue
-        rows[str(record.get("key"))] = {
-            "key": str(record.get("key")),
-            "kind": record.get("kind", ""),
-            "attempt": int(record.get("attempt", 1) or 1),
-            "elapsed_s": float(record.get("elapsed_s", 0.0) or 0.0),
-            "measurements": int(record.get("measurements", 0) or 0),
-            "worker": str(record.get("worker", "") or "serial"),
-        }
-    return list(rows.values())
-
-
-def _resource_rollup(
-    records: Iterable[Dict[str, object]],
-) -> Optional[Dict[str, object]]:
-    """Totals over the trace's ``resource_sample`` events (None if none).
-
-    CPU seconds are summed per process (the samples carry *cumulative*
-    ``getrusage`` values, so each process contributes max - min); peak
-    RSS is the maximum across processes.
-    """
-    bounds: Dict[str, Tuple[float, float]] = {}
-    peak_rss = 0
-    samples = 0
-    for record in records:
-        if record.get("type") != "resource_sample":
-            continue
-        samples += 1
-        worker = str(record.get("worker", "") or "serial")
-        cpu = float(record.get("cpu_user_s", 0.0) or 0.0) + float(
-            record.get("cpu_system_s", 0.0) or 0.0
-        )
-        low, high = bounds.get(worker, (cpu, cpu))
-        bounds[worker] = (min(low, cpu), max(high, cpu))
-        peak_rss = max(peak_rss, int(record.get("max_rss_kb", 0) or 0))
-    if not samples:
-        return None
-    return {
-        "samples": samples,
-        "workers": len(bounds),
-        "cpu_s": round(sum(high - low for low, high in bounds.values()), 6),
-        "peak_rss_kb": peak_rss,
-    }
-
-
 def trace_summary_data(loaded: TraceLoadResult) -> Dict[str, object]:
     """``repro obs summary --json``: the summary as plain data.
 
     Mirrors :func:`render_trace_summary` section for section so CI can
     assert on fields instead of scraping the text table.
     """
-    records = loaded.records
-    counts: Dict[str, int] = {}
-    for record in records:
-        kind = str(record.get("type"))
-        counts[kind] = counts.get(kind, 0) + 1
-    units = _farm_unit_rows(records)
+    rollup = TraceRollup.of(loaded.records)
+    counts = rollup.counts
     by_worker: Dict[str, Dict[str, object]] = {}
-    for row in units:
-        worker = str(row["worker"])
+    for row in rollup.units.values():
         agg = by_worker.setdefault(
-            worker, {"units": 0, "busy_s": 0.0, "measurements": 0}
+            row.worker, {"units": 0, "busy_s": 0.0, "measurements": 0}
         )
         agg["units"] = int(agg["units"]) + 1
-        agg["busy_s"] = round(
-            float(agg["busy_s"]) + float(row["elapsed_s"]), 6
-        )
-        agg["measurements"] = int(agg["measurements"]) + int(
-            row["measurements"]
-        )
-    groups = per_test_measurement_counts(records)
-    per_test: Dict[str, int] = {}
-    for name, count in groups:
-        per_test[name] = per_test.get(name, 0) + count
-    profiles = [r for r in records if r.get("type") == "profile"]
+        agg["busy_s"] = round(float(agg["busy_s"]) + row.elapsed_s, 6)
+        agg["measurements"] = int(agg["measurements"]) + row.measurements
+    resources = None
+    if counts.get("resource_sample"):
+        resources = {
+            "samples": counts["resource_sample"],
+            "workers": len(rollup.cpu_bounds),
+            "cpu_s": round(
+                sum(high - low for low, high in rollup.cpu_bounds.values()),
+                6,
+            ),
+            "peak_rss_kb": rollup.peak_rss_kb,
+        }
     return {
-        "events": len(records),
+        "events": rollup.events,
         "events_by_type": counts,
         "farm": {
-            "units": len(units),
+            "units": len(rollup.units),
             "workers": by_worker,
             "retries": counts.get("farm_unit_retried", 0),
             "skipped": counts.get("farm_unit_skipped", 0),
             "merged": counts.get("farm_unit_merged", 0),
-            "dropped_events": _sum_field(
-                records, "farm_unit_merged", "dropped_events"
-            ),
+            "dropped_events": rollup.dropped_events,
         },
-        "checkpoint_dropped_lines": _sum_field(
-            records, "farm_checkpoint_dropped", "lines"
-        ),
+        "checkpoint_dropped_lines": rollup.checkpoint_dropped_lines,
         "measurements": {
-            "total": sum(per_test.values()),
-            "groups": len(groups),
-            "per_test": per_test,
+            "total": rollup.measurements,
+            "groups": len(rollup.measurement_groups),
+            "per_test": rollup.per_test(),
         },
-        "resources": _resource_rollup(records),
-        "profile_sessions": len(profiles),
-        "profile_weight": sum(
-            int(entry[2]) for p in profiles for entry in p.get("folded") or ()
-        ),
-        "profile_unit": (
-            str(profiles[0].get("unit", "samples")) if profiles else None
-        ),
+        "resources": resources,
+        "profile_sessions": counts.get("profile", 0),
+        "profile_weight": rollup.profile_weight,
+        "profile_unit": rollup.profile_unit,
         "dropped_lines": loaded.dropped_lines,
         "unknown_types": dict(loaded.unknown_types),
     }
-
-
-def _sum_field(
-    records: Iterable[Dict[str, object]], kind: str, name: str
-) -> int:
-    return sum(
-        int(r.get(name, 0) or 0) for r in records if r.get("type") == kind
-    )
 
 
 def render_trace_summary(loaded: TraceLoadResult) -> str:
@@ -385,27 +480,20 @@ def render_trace_summary(loaded: TraceLoadResult) -> str:
 
 def render_slowest(loaded: TraceLoadResult, count: int = 10) -> str:
     """``repro obs slowest``: the wall-clock and cost hot spots."""
-    records = loaded.records
+    rollup = TraceRollup.of(loaded.records)
     lines: List[str] = []
     units = sorted(
-        _farm_unit_rows(records),
-        key=lambda r: (-float(r["elapsed_s"]), str(r["key"])),
+        rollup.units.values(), key=lambda r: (-r.elapsed_s, r.key)
     )[:count]
     if units:
         lines.append(f"slowest {len(units)} unit(s):")
         for row in units:
-            attempt = (
-                f" (attempt {row['attempt']})" if int(row["attempt"]) > 1
-                else ""
-            )
+            attempt = f" (attempt {row.attempt})" if row.attempt > 1 else ""
             lines.append(
-                f"  {str(row['key'])[:32]:<32} {float(row['elapsed_s']):>9.3f}s"
-                f" {int(row['measurements']):>8} meas on {row['worker']}"
-                f"{attempt}"
+                f"  {row.key[:32]:<32} {row.elapsed_s:>9.3f}s"
+                f" {row.measurements:>8} meas on {row.worker}{attempt}"
             )
-    totals: Dict[str, int] = {}
-    for name, meas in per_test_measurement_counts(records):
-        totals[name] = totals.get(name, 0) + meas
+    totals = rollup.per_test()
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:count]
     if ranked:
         lines.append(f"costliest {len(ranked)} test(s):")

@@ -36,7 +36,6 @@ from repro.service.manager import (
     SubprocessJobRunner,
 )
 from repro.service.progress import (
-    ProgressTally,
     job_progress,
     read_numbered_events,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "JobManager",
     "JobOutcome",
     "JobSpec",
-    "ProgressTally",
     "ServiceClient",
     "ServiceError",
     "SpecError",

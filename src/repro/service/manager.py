@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import subprocess
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.obs.history import RUN_KIND, RUN_SCHEMA
 from repro.service.progress import job_progress
@@ -162,8 +162,10 @@ class JobManager:
             runner if runner is not None
             else SubprocessJobRunner(broker=broker)
         )
-        self._queue: "queue.Queue[str]" = queue.Queue()
+        self._queue: Deque[str] = deque()
         self._lock = threading.Lock()
+        self._queued = threading.Condition(self._lock)
+        self._claims = 0
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._done: Dict[str, threading.Event] = {}
@@ -237,7 +239,8 @@ class JobManager:
                 request_id=request_id,
             )
             self._done[job_id] = threading.Event()
-        self._queue.put(job_id)
+            self._queue.append(job_id)
+            self._queued.notify()
         return job
 
     def cancel(self, job_id: str) -> bool:
@@ -317,26 +320,36 @@ class JobManager:
 
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
-            try:
-                job_id = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            try:
-                self._execute(job_id)
-            finally:
-                self._queue.task_done()
+            job = self._claim_next()
+            if job is not None:
+                self._execute(job)
 
-    def _execute(self, job_id: str) -> None:
-        # Claim under the lock: a job cancelled while queued must never
-        # transition to running (cancel() takes the same lock).
-        with self._lock:
-            job = self.store.get_job(job_id)
-            if job is None or job["state"] != "queued":
-                return
-            self.store.update_job(
-                job_id, state="running", started_ts=time.time()
-            )
-            job = self.store.get_job(job_id)
+    def _claim_next(self) -> Optional[Dict[str, object]]:
+        """Pop and claim the oldest queued job; None after a 0.1 s wait.
+
+        Popping and claiming in one lock hold keeps claims in submit
+        order across workers; cancel() takes the same lock, so a job
+        cancelled while queued is never claimed.  The row carries
+        ``claim_seq``, this manager's 1-based claim count.
+        """
+        with self._queued:
+            if not self._queue:
+                self._queued.wait(timeout=0.1)
+            while self._queue:
+                job_id = self._queue.popleft()
+                job = self.store.get_job(job_id)
+                if job is None or job["state"] != "queued":
+                    continue
+                self.store.update_job(
+                    job_id, state="running", started_ts=time.time()
+                )
+                job = self.store.get_job(job_id) or job
+                self._claims += 1
+                job["claim_seq"] = self._claims
+                return job
+        return None
+
+    def _execute(self, job: Dict[str, object]) -> None:
         try:
             outcome = self.runner.run(job)  # type: ignore[attr-defined]
         except Exception as exc:  # noqa: BLE001 — runner bugs fail the job

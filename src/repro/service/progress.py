@@ -4,8 +4,8 @@ Every job runs with ``--trace`` pointing into its job directory, and the
 :class:`~repro.obs.events.TraceWriter` flushes each event line as it is
 emitted — so the trace file *is* the live progress stream.  This module
 reads it tolerantly (a torn final line is simply the event in flight)
-and rolls the per-unit farm events, measurement events and campaign
-phases up into the small progress dict ``GET /jobs/{id}`` returns.
+and views its :class:`~repro.obs.report.TraceRollup` as the small
+progress dict ``GET /jobs/{id}`` returns.
 """
 
 from __future__ import annotations
@@ -14,73 +14,39 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ioutil import read_jsonl
+from repro.obs.report import TraceRollup
 
 
-class ProgressTally:
-    """Incremental form of :func:`job_progress`.
-
-    Feed it parsed trace records one at a time (:meth:`add`) and read the
-    same progress dict at any point (:meth:`as_dict`).  The SSE stream
-    handler uses this to keep live progress while *tailing* a trace —
-    one pass over each line ever, instead of re-scanning the whole file
-    per poll.
+def rollup_progress(rollup: TraceRollup) -> Dict[str, object]:
+    """The progress dict ``GET /jobs/{id}`` returns, as a view of a trace
+    roll-up: ``units_skipped`` counts units restored from checkpoint, and
+    ``phase`` is the innermost campaign phase open (``None`` outside any).
     """
+    return {
+        "events": rollup.events,
+        "measurements": rollup.measurements,
+        "units_total": rollup.units_total,
+        "units_done": rollup.counts.get("farm_unit_completed", 0),
+        "units_skipped": rollup.counts.get("farm_unit_skipped", 0),
+        "phase": rollup.phases[-1] if rollup.phases else None,
+    }
 
-    def __init__(self) -> None:
-        self.events = 0
-        self.measurements = 0
-        self.units_total = 0
-        self.units_done = 0
-        self.units_skipped = 0
-        self._phase_stack: List[str] = []
 
-    def add(self, record: Dict[str, object]) -> None:
-        """Fold one parsed trace record into the tally."""
-        self.events += 1
-        kind = record.get("type")
-        if kind == "measurement":
-            self.measurements += 1
-        elif kind == "farm_run_started":
-            self.units_total += int(record.get("units", 0) or 0)
-        elif kind == "farm_unit_completed":
-            self.units_done += 1
-        elif kind == "farm_unit_skipped":
-            self.units_skipped += 1
-        elif kind == "campaign_phase":
-            phase = str(record.get("phase", "") or "")
-            if record.get("status") == "start":
-                self._phase_stack.append(phase)
-            elif self._phase_stack and self._phase_stack[-1] == phase:
-                self._phase_stack.pop()
-
-    def as_dict(self) -> Dict[str, object]:
-        """The progress dict ``GET /jobs/{id}`` returns."""
-        return {
-            "events": self.events,
-            "measurements": self.measurements,
-            "units_total": self.units_total,
-            "units_done": self.units_done,
-            "units_skipped": self.units_skipped,
-            "phase": self._phase_stack[-1] if self._phase_stack else None,
-        }
+def trace_rollup(
+    trace_path: Union[str, Path], lines: Optional[int] = None
+) -> TraceRollup:
+    """Fold the first ``lines`` lines of a job trace (all by default)."""
+    rollup = TraceRollup()
+    if Path(trace_path).exists():
+        for _, record in read_jsonl(trace_path, 0, lines):
+            if _is_event(record):
+                rollup.add(record)
+    return rollup
 
 
 def job_progress(trace_path: Union[str, Path]) -> Dict[str, object]:
-    """Roll a (possibly still growing) trace up into progress numbers.
-
-    Returns ``events`` (total lines parsed), ``measurements``,
-    ``units_total``/``units_done``/``units_skipped`` (farm work units;
-    skipped = restored from checkpoint), and ``phase`` — the innermost
-    campaign phase currently open (``None`` before the first phase or
-    after the last one closes).
-    """
-    path = Path(trace_path)
-    tally = ProgressTally()
-    if path.exists():
-        for _, record in read_jsonl(path):
-            if _is_event(record):
-                tally.add(record)
-    return tally.as_dict()
+    """Roll a (possibly still growing) trace up into progress numbers."""
+    return rollup_progress(trace_rollup(trace_path))
 
 
 def read_numbered_events(

@@ -49,7 +49,11 @@ from repro.ioutil import durable_append_line
 from repro.obs.exposition import render_exposition
 from repro.obs.metrics import MetricsRegistry
 from repro.service.manager import JobManager
-from repro.service.progress import ProgressTally, read_numbered_events
+from repro.service.progress import (
+    read_numbered_events,
+    rollup_progress,
+    trace_rollup,
+)
 from repro.service.spec import (
     JobSpec,
     LOG_FILENAME,
@@ -496,10 +500,10 @@ class JobAPIHandler(BaseHTTPRequestHandler):
         self.close_connection = True
 
         trace = job_dir / TRACE_FILENAME
-        # Replaying from an offset: the tally only covers what this
-        # stream sees, so resumed streams report incremental progress
-        # counts.  Fresh streams (offset 0) see the full history.
-        tally = ProgressTally()
+        # A resumed stream folds the lines the client already holds
+        # without re-sending them, so its progress covers the whole
+        # trace, like ``GET /jobs/{id}``.
+        rollup = trace_rollup(trace, offset)
         last_state = ""
         last_write = time.monotonic()
         while True:
@@ -517,10 +521,10 @@ class JobAPIHandler(BaseHTTPRequestHandler):
             advanced = next_offset != offset
             offset = next_offset
             for line_no, record in numbered:
-                tally.add(record)
+                rollup.add(record)
                 self._sse_frame("trace", record, event_id=line_no)
             if advanced or state != last_state:
-                progress = dict(tally.as_dict())
+                progress = rollup_progress(rollup)
                 progress["state"] = state
                 self._sse_frame("progress", progress, event_id=offset)
                 last_state = state

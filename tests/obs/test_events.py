@@ -2,6 +2,8 @@
 
 import json
 import logging
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +17,12 @@ from repro.obs.events import (
     SUTPFallback,
     SUTPWalkStep,
     TraceWriter,
+    known_event_types,
 )
+from repro.obs.farm import BROKER_EVENT_TYPES, WORKER_CLOCKED_TYPES
 from repro.obs.report import read_trace
+
+DOCS = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
 
 
 def measurement(index=1, name="t0", strobe=20.0, passed=True):
@@ -52,6 +58,19 @@ class TestEventTypes:
             )
         }
         assert len(types) == 5
+
+    def test_taxonomy_matches_docs_and_alignment_lists(self):
+        section = DOCS.read_text().split("## Event taxonomy", 1)[1]
+        table = section.split("\n## ", 1)[0].split("| --- |", 1)[1]
+        documented = set()
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                documented |= set(re.findall(r"`(\w+)`", line.split("|")[1]))
+        known = known_event_types() - {"event"}
+        assert known - documented == set(), "undocumented event types"
+        assert documented - known == set(), "documented types never emitted"
+        aligned = BROKER_EVENT_TYPES | WORKER_CLOCKED_TYPES
+        assert aligned - known_event_types() == set()
 
 
 class TestEventBus:

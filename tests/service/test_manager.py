@@ -7,6 +7,7 @@ cancelled-while-queued job never starts) are actually asserted, not
 just likely.
 """
 
+import sys
 import threading
 
 import pytest
@@ -25,13 +26,14 @@ SPEC = JobSpec(command="hunt")
 class GateRunner:
     """A runner whose jobs block until the test releases them.
 
-    Records, under a lock: the order jobs started in, how many are
-    inside ``run`` right now, and the maximum that were ever inside
-    simultaneously.
+    Records, under a lock: each job's claim stamp and the order jobs
+    started in, how many are inside ``run`` right now, and the maximum
+    that were ever inside simultaneously.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
+        self.claims = {}
         self.started = []
         self.active = 0
         self.max_active = 0
@@ -45,7 +47,10 @@ class GateRunner:
     def run(self, job):
         job_id = str(job["job_id"])
         with self.lock:
-            self.started.append(job_id)
+            # Two workers claim in order but may enter run() in either
+            # order, so the start order is the manager's claim order.
+            self.claims[job_id] = job["claim_seq"]
+            self.started = sorted(self.claims, key=self.claims.__getitem__)
             self.active += 1
             self.max_active = max(self.max_active, self.active)
         self.started_events[job_id].set()
@@ -108,8 +113,33 @@ class TestConcurrency:
             assert manager.wait(job_id, timeout=WAIT)["state"] == "completed"
 
         assert runner.max_active == 2
-        assert runner.started == ids  # FIFO: start order == submit order
+        # FIFO: jobs are claimed, and so started, in submit order
+        assert [runner.claims[job_id] for job_id in ids] == [1, 2, 3, 4, 5]
+        assert runner.started == ids
         manager.shutdown()
+
+    def test_claims_follow_submit_order_under_contention(
+        self, store, tmp_path
+    ):
+        claims = {}
+
+        class ClaimRecorder:
+            def run(self, job):
+                claims[str(job["job_id"])] = job["claim_seq"]
+                return JobOutcome(exit_code=0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            manager = _manager(store, tmp_path, ClaimRecorder(), max_workers=6)
+            ids = [str(manager.submit(SPEC)["job_id"]) for _ in range(40)]
+            for job_id in ids:
+                assert manager.wait(job_id, timeout=WAIT)["state"] == "completed"
+            manager.shutdown()
+        finally:
+            sys.setswitchinterval(interval)
+        # every job claimed exactly once, in submit order
+        assert [claims[job_id] for job_id in ids] == list(range(1, 41))
 
     def test_single_worker_is_strictly_serial(self, store, tmp_path):
         runner = GateRunner()

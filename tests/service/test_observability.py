@@ -260,6 +260,16 @@ class TestStreaming:
         trace_ids = [fid for name, fid, _ in frames if name == "trace"]
         assert trace_ids == [3, 4]
 
+    def test_resumed_stream_progress_covers_the_whole_trace(self, service):
+        client, manager, _ = service
+        job_id = _run_one_job(client)
+        frames = list(client.stream(job_id, last_event_id=3))
+        first = next(data for name, _, data in frames if name == "progress")
+        expected = dict(client.job(job_id)["progress"])
+        expected["state"] = "completed"
+        assert first == expected
+        assert first["measurements"] == 2
+
     def test_query_param_resume_matches_header(self, service):
         client, manager, _ = service
         job_id = _run_one_job(client)
