@@ -2,10 +2,11 @@
 
 The remote farm stretches :mod:`repro.farm` past one host:
 
-* :class:`FarmBroker` (CLI: ``repro farm-broker``) — the hub.  Holds the
-  campaign's pending queue, leases units to workers that pull them
-  (work-stealing), expires silent leases, suppresses duplicate results
-  and spools accepted ones for broker-restart resume.
+* :class:`FarmBroker` (CLI: ``repro farm-broker``) — the hub.  Leases
+  units to workers that pull them (work-stealing), expires silent
+  leases, suppresses duplicate results and spools accepted ones for
+  broker-restart resume; each campaign's unit lifecycle is one
+  :class:`LeaseTable`.
 * :func:`run_worker` (CLI: ``repro farm-worker --connect HOST:PORT``) —
   a socket worker.  Joins and leaves at any time; heartbeats while
   executing; ships outcome + :class:`~repro.obs.collector.
@@ -45,12 +46,11 @@ from repro.farm.remote.protocol import (
 )
 from repro.farm.remote.telemetry import (
     BrokerTelemetry,
-    ClockEstimator,
     MetricsHTTPServer,
-    clock_stamp,
     fetch_broker_stats,
 )
 from repro.farm.remote.worker import WorkerRejected, run_worker
+from repro.obs.farm import ClockEstimator, clock_stamp
 
 __all__ = [
     "BrokerTelemetry",

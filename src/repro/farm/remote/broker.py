@@ -30,10 +30,12 @@ which may join and leave at any point:
   again — any worker can resume any shard, and none of the finished
   ones re-run.
 
-Pushes to the client happen under a per-campaign send lock from
-whichever thread accepted the result; the client executor is always
-draining its socket, so these sends cannot back up in practice (the
-frames are small and the peer reads eagerly).
+A campaign's unit lifecycle is one
+:class:`~repro.farm.remote.leases.LeaseTable`; the broker is the
+transport around it.  Each client frame is sent by the transition that
+caused it, under the broker lock, so frames arrive in state order
+(see :mod:`repro.farm.remote.protocol`).  The client executor always
+drains its socket, so these sends cannot back up in practice.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ import logging
 import socket
 import threading
 import time
-from collections import deque
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.farm.remote.leases import LeaseTable
+from repro.farm.remote.leases import LeaseTable, LostLease
 from repro.farm.remote.protocol import (
     DEFAULT_LEASE_TIMEOUT_S,
     PROTOCOL_VERSION,
@@ -154,71 +156,59 @@ class ResultSpool:
             self._handle.close()
 
 
+@dataclass
 class _WorkerState:
     """Per-connection worker bookkeeping for stats and throughput."""
 
-    __slots__ = (
-        "name", "worker_id", "connected_mono", "completed", "failed",
-        "last_seen_mono",
-    )
-
-    def __init__(self, name: str, worker_id: str) -> None:
-        self.name = name
-        self.worker_id = worker_id
-        self.connected_mono = time.monotonic()
-        self.completed = 0
-        self.failed = 0
-        self.last_seen_mono = self.connected_mono
+    name: str
+    worker_id: str
+    completed: int = 0
+    failed: int = 0
+    connected_mono: float = field(default_factory=time.monotonic)
+    last_seen_mono: float = field(default_factory=time.monotonic)
 
 
+@dataclass
 class _Campaign:
-    """State of the one active campaign: queue, leases, client socket."""
+    """The one active campaign: its lifecycle table plus transport state."""
 
-    def __init__(
-        self,
-        campaign_id: str,
-        units: Dict[str, str],
-        order: List[str],
-        runner: str,
-        config: Optional[str],
-        max_attempts: int,
-        lease_timeout_s: float,
-        client: socket.socket,
-        spool: Optional[ResultSpool],
-    ) -> None:
-        self.id = campaign_id
-        self.units = units          # key -> packed WorkUnit
-        self.order = order          # submission order (scheduler's)
-        self.runner = runner
-        self.config = config
-        self.max_attempts = max_attempts
-        self.leases = LeaseTable(lease_timeout_s)
-        self.pending: Deque[str] = deque(order)
-        self.failed: Dict[str, str] = {}
-        self.client = client
-        self.client_lock = threading.Lock()
-        self.client_alive = True
-        self.spool = spool
-        self.reissues = 0
-        #: The hello name of the submitting client — keys its clock
-        #: offset estimate in the broker telemetry.
-        self.client_name = "client"
-
-    @property
-    def finished(self) -> bool:
-        return (
-            len(self.leases.completed) + len(self.failed) >= len(self.units)
-        )
+    id: str
+    units: Dict[str, str]           # key -> packed WorkUnit
+    runner: str
+    config: Optional[str]
+    leases: LeaseTable
+    client: socket.socket
+    #: The hello name of the submitting client — keys its clock offset
+    #: estimate in the broker telemetry.
+    client_name: str
+    spool: Optional[ResultSpool]
+    client_alive: bool = True
 
     def push(self, frame: Dict[str, Any]) -> None:
-        """Send one frame to the campaign's client (best-effort)."""
+        """Send one frame to the client (best-effort; broker lock held)."""
         if not self.client_alive:
             return
         try:
-            with self.client_lock:
-                send_frame(self.client, frame)
+            send_frame(self.client, frame)
         except OSError:
             self.client_alive = False
+
+
+#: ``stats`` frame ``totals`` key → the registry counter that keeps it.
+TOTALS_COUNTERS = {
+    "campaigns": "farm.campaigns",
+    "units_dispatched": "farm.lease_issued",
+    "units_completed": "farm.units_completed",
+    "units_failed": "farm.units_failed",
+    "units_restored": "farm.spool_restored",
+    "spool_dropped": "farm.spool_dropped",
+    "reissues": "farm.lease_reissued",
+    "duplicates_dropped": "farm.duplicate_suppressed",
+    "stale_heartbeats": "farm.stale_heartbeats",
+    "workers_seen": "farm.workers_joined",
+    "workers_left": "farm.workers_left",
+    "workers_rejected": "farm.workers_rejected",
+}
 
 
 class FarmBroker:
@@ -272,20 +262,6 @@ class FarmBroker:
         self._started_mono = time.monotonic()
         self._last_dispatch_mono: Optional[float] = None
         self._workers: Dict[str, _WorkerState] = {}
-        self.stats = {
-            "campaigns": 0,
-            "units_dispatched": 0,
-            "units_completed": 0,
-            "units_failed": 0,
-            "units_restored": 0,
-            "spool_dropped": 0,
-            "reissues": 0,
-            "duplicates_dropped": 0,
-            "stale_heartbeats": 0,
-            "workers_seen": 0,
-            "workers_left": 0,
-            "workers_rejected": 0,
-        }
 
     # -- lifecycle --------------------------------------------------------------
     @property
@@ -363,54 +339,46 @@ class FarmBroker:
         Counter and histogram families accumulate as the campaign runs
         (``farm.lease_issued``, ``farm.lease_age_seconds``, …); queue
         depth, rates and per-worker throughput are sampled at scrape
-        time, because gauges describe *now*.
+        time from the ``stats`` frame body, because gauges describe
+        *now*.
         """
+        stats = self.stats_payload()
+        totals = stats["totals"]
+        campaign = stats["campaign"]
+        active = campaign is not None and not campaign["finished"]
+        dispatched = totals["units_dispatched"]
+        seen = totals["workers_seen"]
+        last_dispatch = self._last_dispatch_mono
+        stalled = (
+            stats["queue_depth"] > 0
+            and not stats["workers"]
+            and last_dispatch is not None
+        )
         metrics = self.telemetry.metrics
         gauge = metrics.gauge
-        now = time.monotonic()
-        with self._lock:
-            campaign = self._campaign
-            dispatched = self.stats["units_dispatched"]
-            seen = self.stats["workers_seen"]
-            gauge("farm.uptime_seconds").set(max(0.0, now - self._started_mono))
-            gauge("farm.workers_connected").set(float(len(self._workers)))
-            gauge("farm.campaign_active").set(
-                1.0 if campaign is not None and not campaign.finished else 0.0
+        gauge("farm.uptime_seconds").set(stats["uptime_s"])
+        gauge("farm.workers_connected").set(float(stats["workers_connected"]))
+        gauge("farm.campaign_active").set(1.0 if active else 0.0)
+        gauge("farm.queue_depth").set(float(stats["queue_depth"]))
+        gauge("farm.leases_active").set(float(stats["leases_active"]))
+        gauge("farm.reissue_rate").set(
+            totals["reissues"] / dispatched if dispatched else 0.0
+        )
+        gauge("farm.duplicate_rate").set(
+            totals["duplicates_dropped"] / dispatched if dispatched else 0.0
+        )
+        # Churn only signals while work is outstanding: after a campaign
+        # finishes, workers idling out is normal, not an incident.
+        gauge("farm.worker_churn").set(
+            totals["workers_left"] / seen if seen and active else 0.0
+        )
+        gauge("farm.queue_stall_seconds").set(
+            max(0.0, time.monotonic() - last_dispatch) if stalled else 0.0
+        )
+        for worker in stats["workers"]:
+            gauge(f"farm.worker.upm.{worker['name']}").set(
+                worker["units_per_minute"]
             )
-            queue_depth = len(campaign.pending) if campaign is not None else 0
-            leases_active = (
-                campaign.leases.active() if campaign is not None else 0
-            )
-            gauge("farm.queue_depth").set(float(queue_depth))
-            gauge("farm.leases_active").set(float(leases_active))
-            gauge("farm.reissue_rate").set(
-                self.stats["reissues"] / dispatched if dispatched else 0.0
-            )
-            gauge("farm.duplicate_rate").set(
-                self.stats["duplicates_dropped"] / dispatched
-                if dispatched else 0.0
-            )
-            # Churn only signals while work is outstanding: after a
-            # campaign finishes, workers idling out is normal, not an
-            # incident.
-            campaign_active = campaign is not None and not campaign.finished
-            gauge("farm.worker_churn").set(
-                self.stats["workers_left"] / seen
-                if seen and campaign_active else 0.0
-            )
-            stalled = (
-                queue_depth > 0
-                and not self._workers
-                and self._last_dispatch_mono is not None
-            )
-            gauge("farm.queue_stall_seconds").set(
-                max(0.0, now - self._last_dispatch_mono) if stalled else 0.0
-            )
-            for state in self._workers.values():
-                minutes = max(1e-9, (now - state.connected_mono) / 60.0)
-                gauge(f"farm.worker.upm.{state.name}").set(
-                    state.completed / minutes
-                )
         return render_exposition(metrics)
 
     def stats_payload(self) -> Dict[str, Any]:
@@ -419,17 +387,15 @@ class FarmBroker:
         offsets = self.telemetry.clock_offsets()
         with self._lock:
             campaign = self._campaign
-            leases = (
-                dict(campaign.leases.leases)
-                if campaign is not None else {}
-            )
-            by_worker: Dict[str, Dict[str, Any]] = {}
-            for lease in leases.values():
-                by_worker[lease.worker] = {
+            leases = campaign.leases.held() if campaign is not None else []
+            by_worker = {
+                lease.worker: {
                     "key": lease.key,
                     "attempt": lease.attempt,
                     "age_s": max(0.0, now - lease.issued_ts),
                 }
+                for lease in leases
+            }
             workers = []
             for state in sorted(
                 self._workers.values(), key=lambda s: s.name
@@ -446,28 +412,31 @@ class FarmBroker:
                     "clock_offset_s": offsets.get(state.name, 0.0),
                     "lease": by_worker.get(state.worker_id),
                 })
+            tally = campaign.leases.tally() if campaign is not None else {}
+            counters = self.telemetry.metrics.counters
             payload: Dict[str, Any] = {
                 "uptime_s": max(0.0, now - self._started_mono),
-                "queue_depth": len(campaign.pending) if campaign else 0,
+                "queue_depth": tally.get("pending", 0),
                 "leases_active": len(leases),
                 "workers_connected": len(self._workers),
                 "workers": workers,
-                "totals": dict(self.stats),
+                "totals": {
+                    key: counters[name].value if name in counters else 0
+                    for key, name in TOTALS_COUNTERS.items()
+                },
                 "campaign": None,
             }
             if campaign is not None:
+                table = campaign.leases
                 payload["campaign"] = {
                     "id": campaign.id,
                     "units": len(campaign.units),
-                    "pending": len(campaign.pending),
-                    "leased": len(leases),
-                    "completed": len(campaign.leases.completed),
-                    "failed": len(campaign.failed),
-                    "reissues": campaign.reissues,
-                    "duplicates_dropped": campaign.leases.duplicates,
-                    "max_attempts": campaign.max_attempts,
-                    "lease_s": campaign.leases.timeout_s,
-                    "finished": campaign.finished,
+                    **tally,
+                    "reissues": table.reissues,
+                    "duplicates_dropped": table.duplicates,
+                    "max_attempts": table.max_attempts,
+                    "lease_s": table.timeout_s,
+                    "finished": table.finished,
                 }
         return payload
 
@@ -515,19 +484,11 @@ class FarmBroker:
                 return
             with self._lock:
                 campaign = self._campaign
-                if campaign is None or campaign.finished:
+                if campaign is None:
                     continue
                 now = time.monotonic()
-                for lease in campaign.leases.expire(now):
-                    self._note_lease_expired(campaign, lease, now)
-                    self._requeue_or_fail(
-                        campaign,
-                        lease.key,
-                        lease.attempt,
-                        f"lease expired after {campaign.leases.timeout_s:g}s "
-                        f"on {lease.worker}",
-                    )
-                self._maybe_finish(campaign)
+                for lost in campaign.leases.expire(now):
+                    self._expired(campaign, lost, now)
 
     # -- connection handling ----------------------------------------------------
     def _serve_connection(
@@ -571,7 +532,7 @@ class FarmBroker:
             active = self._campaign
             if (
                 active is not None
-                and not active.finished
+                and not active.leases.finished
                 and active.client_alive
             ):
                 send_frame(conn, {
@@ -612,14 +573,12 @@ class FarmBroker:
             with self._lock:
                 campaign.client_alive = False
                 if self._campaign is campaign:
-                    if not campaign.finished:
+                    tally = campaign.leases.tally()
+                    if not campaign.leases.finished:
                         logger.warning(
                             "client for campaign %r disconnected with "
                             "%d unit(s) unfinished; campaign dropped",
-                            campaign.id,
-                            len(campaign.units)
-                            - len(campaign.leases.completed)
-                            - len(campaign.failed),
+                            campaign.id, tally["pending"] + tally["leased"],
                         )
                     self._campaign = None
             if campaign.spool is not None:
@@ -646,94 +605,78 @@ class FarmBroker:
                 conn, {"type": "reject", "reason": "submit carries no units"}
             )
             return None
-        units: Dict[str, str] = {}
-        order: List[str] = []
-        for entry in raw_units:
-            key = str(entry["key"])
-            units[key] = str(entry["unit"])
-            order.append(key)
+        units = {str(entry["key"]): str(entry["unit"]) for entry in raw_units}
         max_attempts = max(1, int(submit.get("max_attempts") or 1))
         lease_s = float(submit.get("lease_s") or self.lease_timeout_s)
         spool = self._spool_for(campaign_id)
+        spooled, spool_dropped = (
+            spool.load() if spool is not None else ({}, 0)
+        )
+        table = LeaseTable(lease_s, units, max_attempts)
+        restored = table.restore({
+            key: int(payload.get("attempt", 1))
+            for key, payload in spooled.items()
+        })
         campaign = _Campaign(
-            campaign_id=campaign_id,
+            id=campaign_id,
             units=units,
-            order=order,
             runner=str(submit.get("runner") or ""),
             config=submit.get("config"),
-            max_attempts=max_attempts,
-            lease_timeout_s=lease_s,
+            leases=table,
             client=conn,
+            client_name=client_name,
             spool=spool,
         )
-        campaign.client_name = client_name
-        restored: List[Dict[str, Any]] = []
-        spool_dropped = 0
-        if spool is not None:
-            spooled, spool_dropped = spool.load()
-            for key, payload in spooled.items():
-                if key in units and key not in campaign.leases.completed:
-                    campaign.leases.completed[key] = int(
-                        payload.get("attempt", 1)
-                    )
-                    restored.append(payload)
-            if restored:
-                done = set(campaign.leases.completed)
-                campaign.pending = deque(
-                    key for key in order if key not in done
-                )
+        # One lock hold from install to the last restored ``done``: no
+        # worker can lease a unit before the client has its ``accepted``.
         with self._lock:
             self._campaign = campaign
-            self.stats["campaigns"] += 1
-            self.stats["units_restored"] += len(restored)
-            self.stats["spool_dropped"] += spool_dropped
-        metrics = self.telemetry.metrics
-        metrics.counter("farm.campaigns").inc()
-        self.telemetry.emit(
-            BrokerCampaignStarted(
-                campaign=campaign_id,
-                units=len(units),
-                restored=len(restored),
-                max_attempts=max_attempts,
-                lease_s=lease_s,
-            ),
-            campaign=campaign_id,
-        )
-        if spool is not None and (restored or spool_dropped):
-            metrics.counter("farm.spool_restored").inc(len(restored))
-            metrics.counter("farm.spool_dropped").inc(spool_dropped)
             self.telemetry.emit(
-                SpoolRestored(
+                BrokerCampaignStarted(
                     campaign=campaign_id,
+                    units=len(units),
                     restored=len(restored),
-                    dropped=spool_dropped,
+                    max_attempts=max_attempts,
+                    lease_s=lease_s,
                 ),
                 campaign=campaign_id,
             )
-        logger.info(
-            "campaign %r accepted: %d unit(s), %d restored from spool "
-            "(%d spool line(s) dropped)",
-            campaign_id, len(units), len(restored), spool_dropped,
-        )
-        send_frame(conn, {
-            "type": "accepted",
-            "campaign": campaign_id,
-            "pending": len(campaign.pending),
-            "restored": len(restored),
-        })
-        for payload in restored:
+            if restored or spool_dropped:
+                metrics = self.telemetry.metrics
+                metrics.counter("farm.spool_restored").inc(len(restored))
+                metrics.counter("farm.spool_dropped").inc(spool_dropped)
+                self.telemetry.emit(
+                    SpoolRestored(
+                        campaign=campaign_id,
+                        restored=len(restored),
+                        dropped=spool_dropped,
+                    ),
+                    campaign=campaign_id,
+                )
+            logger.info(
+                "campaign %r accepted: %d unit(s), %d restored from spool "
+                "(%d spool line(s) dropped)",
+                campaign_id, len(units), len(restored), spool_dropped,
+            )
             campaign.push({
-                "type": "done",
-                "key": payload["key"],
-                "attempt": int(payload.get("attempt", 1)),
-                "worker": str(payload.get("worker", "spool")),
-                "elapsed_s": float(payload.get("elapsed_s", 0.0)),
-                "outcome": payload["outcome"],
-                "telemetry": None,
-                "restored": True,
+                "type": "accepted",
+                "campaign": campaign_id,
+                "pending": table.tally()["pending"],
+                "restored": len(restored),
             })
-        with self._lock:
-            self._maybe_finish(campaign)
+            for key in restored:
+                payload = spooled[key]
+                campaign.push({
+                    "type": "done",
+                    "key": key,
+                    "attempt": int(payload.get("attempt", 1)),
+                    "worker": str(payload.get("worker", "spool")),
+                    "elapsed_s": float(payload.get("elapsed_s", 0.0)),
+                    "outcome": payload["outcome"],
+                    "telemetry": None,
+                    "restored": True,
+                })
+            self._settled(campaign)
         return campaign
 
     # -- worker side ------------------------------------------------------------
@@ -748,10 +691,10 @@ class FarmBroker:
             if (
                 pin
                 and active is not None
-                and not active.finished
+                and not active.leases.finished
                 and active.id != pin
             ):
-                self.stats["workers_rejected"] += 1
+                self.telemetry.metrics.counter("farm.workers_rejected").inc()
                 send_frame(conn, {
                     "type": "reject",
                     "reason": (
@@ -760,11 +703,9 @@ class FarmBroker:
                     ),
                 })
                 return
-            self.stats["workers_seen"] += 1
             self._workers[worker_id] = _WorkerState(name, worker_id)
             campaign_id = active.id if active is not None else None
         self.telemetry.observe_clock(name, hello.get("clock"))
-        self.telemetry.metrics.counter("farm.workers_joined").inc()
         self.telemetry.emit(
             WorkerJoined(worker=name, worker_id=worker_id),
             campaign=campaign_id,
@@ -793,44 +734,39 @@ class FarmBroker:
     ) -> Dict[str, Any]:
         with self._lock:
             campaign = self._campaign
-            if (
-                campaign is None
-                or campaign.finished
-                or (pin and campaign.id != pin)
-                or not campaign.pending
-            ):
-                return {"type": "idle", "poll_s": self.poll_s}
             now = time.monotonic()
-            key = campaign.pending.popleft()
-            lease = campaign.leases.issue(key, worker_id, now)
-            self.stats["units_dispatched"] += 1
+            lease = (
+                campaign.leases.issue(worker_id, now)
+                if campaign is not None and not (pin and campaign.id != pin)
+                else None
+            )
+            if lease is None:
+                return {"type": "idle", "poll_s": self.poll_s}
             self._last_dispatch_mono = now
             state = self._workers.get(worker_id)
             if state is not None:
                 state.last_seen_mono = now
-            frame = {
+            self.telemetry.emit(
+                LeaseIssued(key=lease.key, attempt=lease.attempt, worker=name),
+                campaign=campaign.id,
+                span_id=lease.key,
+            )
+            campaign.push({
+                "type": "leased",
+                "key": lease.key,
+                "attempt": lease.attempt,
+                "worker": name,
+            })
+            return {
                 "type": "unit",
                 "campaign": campaign.id,
-                "key": key,
+                "key": lease.key,
                 "attempt": lease.attempt,
-                "unit": campaign.units[key],
+                "unit": campaign.units[lease.key],
                 "runner": campaign.runner,
                 "config": campaign.config,
                 "lease_s": campaign.leases.timeout_s,
             }
-        self.telemetry.metrics.counter("farm.lease_issued").inc()
-        self.telemetry.emit(
-            LeaseIssued(key=key, attempt=lease.attempt, worker=name),
-            campaign=campaign.id,
-            span_id=key,
-        )
-        campaign.push({
-            "type": "leased",
-            "key": key,
-            "attempt": lease.attempt,
-            "worker": name,
-        })
-        return frame
 
     def _take_result(
         self, worker_id: str, name: str, frame: Dict[str, Any]
@@ -849,8 +785,10 @@ class FarmBroker:
                     "reason": "no active campaign for this unit",
                 }
             if not frame.get("ok"):
-                released = campaign.leases.release(key, attempt)
-                if released is None:
+                lost = campaign.leases.fail(
+                    key, attempt, str(frame.get("error") or "unit runner failed")
+                )
+                if lost is None:
                     # the lease already expired and was handled
                     return {
                         "type": "ack", "accepted": False,
@@ -858,35 +796,18 @@ class FarmBroker:
                     }
                 if state is not None:
                     state.failed += 1
-                age_s = max(0.0, now - released.issued_ts)
-                self.telemetry.metrics.histogram(
-                    "farm.lease_age_seconds"
-                ).observe(age_s)
                 self.telemetry.emit(
                     LeaseCompleted(
                         key=key, attempt=attempt, worker=name,
-                        age_s=age_s, ok=False,
+                        age_s=max(0.0, now - lost.lease.issued_ts), ok=False,
                     ),
                     campaign=campaign.id,
                     span_id=key,
                 )
-                self._requeue_or_fail(
-                    campaign, key, attempt,
-                    str(frame.get("error") or "unit runner failed"),
-                )
-                self._maybe_finish(campaign)
+                self._settle(campaign, lost)
                 return {"type": "ack", "accepted": True}
-            lease = campaign.leases.leases.get(key)
-            lease_age_s = (
-                max(0.0, now - lease.issued_ts)
-                if lease is not None and lease.attempt == attempt
-                else 0.0
-            )
-            if not campaign.leases.complete(key, attempt):
-                self.stats["duplicates_dropped"] += 1
-                self.telemetry.metrics.counter(
-                    "farm.duplicate_suppressed"
-                ).inc()
+            age_s = campaign.leases.complete(key, attempt, now)
+            if age_s is None:
                 self.telemetry.emit(
                     DuplicateSuppressed(key=key, attempt=attempt, worker=name),
                     campaign=campaign.id,
@@ -896,14 +817,6 @@ class FarmBroker:
                     "type": "ack", "accepted": False,
                     "reason": "duplicate delivery suppressed",
                 }
-            # A late result can race its own re-issue: the unit may be
-            # back in pending (expired, not yet re-leased).  Completing
-            # it must also pull it from the queue or a worker would run
-            # a completed unit.
-            if key in campaign.pending:
-                campaign.pending.remove(key)
-            campaign.failed.pop(key, None)
-            self.stats["units_completed"] += 1
             if state is not None:
                 state.completed += 1
             payload = {
@@ -918,30 +831,23 @@ class FarmBroker:
                     campaign.spool.record(payload)
                 except OSError as exc:
                     logger.warning("spool write failed: %s", exc)
-        metrics = self.telemetry.metrics
-        metrics.counter("farm.units_completed").inc()
-        metrics.counter("farm.worker_units").inc(label=name)
-        metrics.histogram("farm.lease_age_seconds").observe(lease_age_s)
-        metrics.histogram("farm.unit_seconds").observe(payload["elapsed_s"])
-        self.telemetry.emit(
-            LeaseCompleted(
-                key=key, attempt=attempt, worker=name,
-                age_s=lease_age_s, ok=True,
-            ),
-            campaign=campaign.id,
-            span_id=key,
-        )
-        campaign.push({
-            "type": "done",
-            "key": key,
-            "attempt": attempt,
-            "worker": name,
-            "elapsed_s": payload["elapsed_s"],
-            "outcome": payload["outcome"],
-            "telemetry": frame.get("telemetry"),
-        })
-        with self._lock:
-            self._maybe_finish(campaign)
+            metrics = self.telemetry.metrics
+            metrics.counter("farm.worker_units").inc(label=name)
+            metrics.histogram("farm.unit_seconds").observe(payload["elapsed_s"])
+            self.telemetry.emit(
+                LeaseCompleted(
+                    key=key, attempt=attempt, worker=name,
+                    age_s=age_s, ok=True,
+                ),
+                campaign=campaign.id,
+                span_id=key,
+            )
+            campaign.push({
+                "type": "done",
+                **payload,
+                "telemetry": frame.get("telemetry"),
+            })
+            self._settled(campaign)
         return {"type": "ack", "accepted": True}
 
     def _take_heartbeat(
@@ -960,12 +866,7 @@ class FarmBroker:
             extended = campaign.leases.heartbeat(
                 key, attempt, worker_id, time.monotonic()
             )
-            if not extended:
-                self.stats["stale_heartbeats"] += 1
             campaign_id = campaign.id
-        self.telemetry.metrics.counter(
-            "farm.stale_heartbeats" if not extended else "farm.heartbeats"
-        ).inc()
         self.telemetry.emit(
             LeaseHeartbeat(
                 key=key, attempt=attempt, worker=name, fresh=extended
@@ -977,28 +878,16 @@ class FarmBroker:
     def _release_worker(self, worker_id: str) -> None:
         with self._lock:
             state = self._workers.pop(worker_id, None)
-            if state is not None:
-                self.stats["workers_left"] += 1
             campaign = self._campaign
             campaign_id = campaign.id if campaign is not None else None
-            dropped = (
-                campaign.leases.release_worker(worker_id)
-                if campaign is not None else []
-            )
-            now = time.monotonic()
-            for lease in dropped:
-                self._note_lease_expired(campaign, lease, now)
-                self._requeue_or_fail(
-                    campaign, lease.key, lease.attempt,
-                    f"worker {lease.worker} disconnected",
-                )
             if campaign is not None:
-                self._maybe_finish(campaign)
+                now = time.monotonic()
+                for lost in campaign.leases.release_worker(worker_id):
+                    self._expired(campaign, lost, now)
         # Clock estimates are deliberately kept after disconnect: the
         # campaign_done frame still needs the dead worker's offset so
         # the timeline can align its events.
         if state is not None:
-            self.telemetry.metrics.counter("farm.workers_left").inc()
             self.telemetry.emit(
                 WorkerLeft(
                     worker=state.name,
@@ -1009,63 +898,64 @@ class FarmBroker:
                 campaign=campaign_id,
             )
 
-    # -- shared campaign bookkeeping (call with the lock held) -----------------
-    def _note_lease_expired(
-        self, campaign: _Campaign, lease, now: float
-    ) -> None:
-        """Count and announce one reclaimed lease (lock held)."""
+    # -- campaign transitions (call with the lock held) ------------------------
+    def _expired(self, campaign: _Campaign, lost: LostLease, now: float) -> None:
+        """Announce a lease reclaimed by the sweep or a worker's exit."""
+        lease = lost.lease
         state = self._workers.get(lease.worker)
-        name = state.name if state is not None else str(lease.worker)
-        age_s = max(0.0, now - lease.issued_ts)
-        self.telemetry.metrics.counter("farm.lease_expired").inc()
-        self.telemetry.metrics.histogram("farm.lease_age_seconds").observe(
-            age_s
-        )
         self.telemetry.emit(
             LeaseExpired(
-                key=lease.key, attempt=lease.attempt, worker=name, age_s=age_s
+                key=lease.key,
+                attempt=lease.attempt,
+                worker=state.name if state is not None else lease.worker,
+                age_s=max(0.0, now - lease.issued_ts),
             ),
             campaign=campaign.id,
             span_id=lease.key,
         )
+        self._settle(campaign, lost)
 
-    def _requeue_or_fail(
-        self, campaign: _Campaign, key: str, attempt: int, reason: str
-    ) -> None:
-        if key in campaign.leases.completed or key in campaign.failed:
+    def _settle(self, campaign: _Campaign, lost: LostLease) -> None:
+        """Tell the client what became of a lost lease's unit: another
+        attempt, or failure — and the campaign's end if that was the
+        last unit."""
+        key, attempt = lost.lease.key, lost.lease.attempt
+        if lost.requeued:
+            self.telemetry.emit(
+                LeaseReissued(key=key, attempt=attempt, reason=lost.reason),
+                campaign=campaign.id,
+                span_id=key,
+            )
+            campaign.push({
+                "type": "retry", "key": key, "attempt": attempt,
+                "reason": lost.reason,
+            })
             return
-        if campaign.leases.attempts.get(key, 0) >= campaign.max_attempts:
-            campaign.failed[key] = reason
-            self.stats["units_failed"] += 1
-            self.telemetry.metrics.counter("farm.units_failed").inc()
-            campaign.push({"type": "unit_failed", "key": key, "reason": reason})
-            return
-        campaign.pending.append(key)
-        campaign.reissues += 1
-        self.stats["reissues"] += 1
-        self.telemetry.metrics.counter("farm.lease_reissued").inc()
-        self.telemetry.emit(
-            LeaseReissued(key=key, attempt=attempt, reason=reason),
-            campaign=campaign.id,
-            span_id=key,
-        )
-        campaign.push({
-            "type": "retry", "key": key, "attempt": attempt, "reason": reason,
-        })
+        self.telemetry.metrics.counter("farm.units_failed").inc()
+        campaign.push({"type": "unit_failed", "key": key, "reason": lost.reason})
+        self._settled(campaign)
 
-    def _maybe_finish(self, campaign: _Campaign) -> None:
-        if not campaign.finished or getattr(campaign, "_announced", False):
+    def _settled(self, campaign: _Campaign) -> None:
+        """Send ``campaign_done`` if no unit is left to settle.
+
+        Called only by a transition that settled units (spool restore,
+        an accepted result, a failed unit): exactly one of those settles
+        the last unit, so ``campaign_done`` goes out once, after every
+        unit's frame.
+        """
+        table = campaign.leases
+        if not table.finished:
             return
-        campaign._announced = True
+        tally = table.tally()
         offsets = self.telemetry.clock_offsets()
         client_offset = offsets.pop(campaign.client_name, 0.0)
         campaign.push({
             "type": "campaign_done",
             "campaign": campaign.id,
-            "completed": len(campaign.leases.completed),
-            "failed": sorted(campaign.failed),
-            "duplicates_dropped": campaign.leases.duplicates,
-            "reissues": campaign.reissues,
+            "completed": tally["completed"],
+            "failed": sorted(table.failed),
+            "duplicates_dropped": table.duplicates,
+            "reissues": table.reissues,
             "telemetry": self.telemetry.drain_events(),
             "clock": {
                 "offsets": offsets,
@@ -1074,6 +964,5 @@ class FarmBroker:
         })
         logger.info(
             "campaign %r finished: %d completed, %d failed, %d reissue(s)",
-            campaign.id, len(campaign.leases.completed),
-            len(campaign.failed), campaign.reissues,
+            campaign.id, tally["completed"], tally["failed"], table.reissues,
         )

@@ -43,9 +43,9 @@ from repro.farm.remote.protocol import (
     send_frame,
     unpack,
 )
-from repro.farm.remote.telemetry import clock_stamp
 from repro.farm.scheduler import Scheduler
 from repro.obs.events import BrokerClockSync
+from repro.obs.farm import clock_stamp
 from repro.obs.runtime import OBS
 
 
@@ -220,6 +220,12 @@ class RemoteExecutor(_ExecutorBase):
                     )
                     remaining.discard(unit.key)
                 elif kind == "campaign_done":
+                    if remaining:
+                        raise RemoteFarmError(
+                            f"campaign {campaign_id!r} ended with "
+                            f"{len(remaining)} unit(s) outstanding: "
+                            f"{', '.join(sorted(remaining))}"
+                        )
                     self._replay_broker_telemetry(campaign_id, frame)
                     break
             try:

@@ -36,6 +36,11 @@ frame            direction  meaning
 ``campaign_done`` broker →  (to client) every unit is done or failed;
                             also carries the broker's buffered telemetry
                             events and per-worker ``clock`` offsets
+                            (client frames follow state order:
+                            ``accepted`` and spool-restored ``done``
+                            before any ``leased``; one ``done`` or
+                            ``unit_failed`` per unit, all before
+                            ``campaign_done``)
 ``stats``        both       (role ``stats``) observer asks; broker
                             answers with the live farm snapshot that
                             ``repro farm-top`` renders

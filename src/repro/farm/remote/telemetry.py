@@ -1,16 +1,18 @@
 """Broker control-plane telemetry: metrics, events, clock skew, stats.
 
 The farm broker is the one component that sees the whole fleet — every
-lease, heartbeat, duplicate and worker (dis)connect crosses it — but
-until this module it kept that knowledge in a private ``stats`` dict.
-Here the control plane becomes observable through the same three
-surfaces the rest of the repo already speaks:
+lease, heartbeat, duplicate and worker (dis)connect crosses it.  Here
+the control plane becomes observable through the same three surfaces
+the rest of the repo already speaks:
 
 * **Metrics** — :class:`BrokerTelemetry` owns a thread-safe
   :class:`~repro.obs.metrics.MetricsRegistry` (lease counters, lease-age
   and unit-latency histograms, per-worker throughput) rendered as
   Prometheus text by :class:`MetricsHTTPServer` for
   ``farm-broker --metrics-port`` and for the ``serve --broker`` proxy.
+  It is the broker's only tally: counters that count an event are
+  incremented by :meth:`BrokerTelemetry.emit` (:data:`EVENT_COUNTERS`),
+  and the ``stats`` frame's lifetime totals are read back from them.
 * **Events** — typed :mod:`repro.obs.events` payloads
   (``lease_issued`` … ``spool_restored``), pre-stamped with ``ts`` and
   trace context (trace_id=campaign, span_id=unit key, worker=worker
@@ -18,19 +20,15 @@ surfaces the rest of the repo already speaks:
   process-global trace context is not thread-safe.  Payloads are
   buffered per campaign so the ``campaign_done`` frame can ship them to
   the submitting client, whose trace then tells the broker-side story.
-* **Clock skew** — :class:`ClockEstimator` turns the paired
-  wall+monotonic stamps carried by hello/heartbeat frames into a
-  min-filtered per-worker offset (the classic min-RTT argument: the
-  smallest observed ``send→receive`` delta is the true offset plus the
-  best-case one-way delay), so :mod:`repro.obs.timeline` can align
-  multi-host tracks onto one axis.
+* **Clock skew** — one :class:`~repro.obs.farm.ClockEstimator` per
+  stamped peer, so :mod:`repro.obs.timeline` can align multi-host
+  tracks onto one axis.
 
 Everything here is stdlib-only and import-safe from the lowest layers.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
@@ -39,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import OBS
 from repro.obs.events import Event
-from repro.obs.exposition import render_exposition
+from repro.obs.farm import ClockEstimator, clock_stamp
 from repro.obs.metrics import MetricsRegistry
 from repro.farm.remote.protocol import (
     PROTOCOL_VERSION,
@@ -48,75 +46,25 @@ from repro.farm.remote.protocol import (
     send_frame,
 )
 
-#: A wall-clock step that disagrees with the monotonic clock by more
-#: than this many seconds is treated as a clock jump (NTP step, manual
-#: adjustment) and resets the offset estimator.
-CLOCK_JUMP_TOLERANCE_S = 0.25
-
 #: Cap on buffered broker events per campaign; beyond it the oldest
 #: story is preserved (first events kept) and the overflow counted.
 EVENT_BUFFER_LIMIT = 20_000
 
-
-def clock_stamp() -> Dict[str, float]:
-    """The paired wall+monotonic stamp carried by hello/heartbeat frames."""
-    return {"wall": time.time(), "mono": time.monotonic()}
-
-
-class ClockEstimator:
-    """Min-filter estimate of one remote clock's offset from ours.
-
-    Every stamped frame yields one sample ``delta = local_wall_at_receive
-    − remote_wall_at_send = −offset + network_delay`` where ``offset`` is
-    the remote clock minus ours.  Network delay is non-negative and
-    varies; the offset (absent jumps) does not — so the *minimum* delta
-    over many samples converges on ``−offset`` plus the best-case
-    one-way delay.  :attr:`offset_s` therefore reports
-    ``remote − local`` seconds, biased by at most that delay.
-
-    The paired monotonic stamp guards against wall-clock steps: between
-    consecutive samples ``Δwall`` must track ``Δmono``; a disagreement
-    beyond :data:`CLOCK_JUMP_TOLERANCE_S` means the remote wall clock
-    jumped, so the filter restarts (and counts the jump).
-    """
-
-    __slots__ = ("_min_delta", "samples", "jumps", "_last_wall", "_last_mono")
-
-    def __init__(self) -> None:
-        self._min_delta: Optional[float] = None
-        self.samples = 0
-        self.jumps = 0
-        self._last_wall: Optional[float] = None
-        self._last_mono: Optional[float] = None
-
-    def observe(
-        self,
-        wall_sent: float,
-        mono_sent: float,
-        wall_received: Optional[float] = None,
-    ) -> None:
-        """Fold in one stamped frame (received now unless given)."""
-        if wall_received is None:
-            wall_received = time.time()
-        if self._last_wall is not None and self._last_mono is not None:
-            wall_step = wall_sent - self._last_wall
-            mono_step = mono_sent - self._last_mono
-            if abs(wall_step - mono_step) > CLOCK_JUMP_TOLERANCE_S:
-                self._min_delta = None
-                self.jumps += 1
-        self._last_wall = wall_sent
-        self._last_mono = mono_sent
-        delta = wall_received - wall_sent
-        if self._min_delta is None or delta < self._min_delta:
-            self._min_delta = delta
-        self.samples += 1
-
-    @property
-    def offset_s(self) -> float:
-        """Estimated ``remote − local`` wall-clock offset in seconds."""
-        if self._min_delta is None:
-            return 0.0
-        return -self._min_delta
+#: The registry counter that counts each broker event, keyed by event
+#: type and — for the two events with a boolean outcome
+#: (``lease_heartbeat.fresh``, ``lease_completed.ok``) — that outcome.
+EVENT_COUNTERS: Dict[Tuple[str, Optional[bool]], str] = {
+    ("broker_campaign_started", None): "farm.campaigns",
+    ("worker_joined", None): "farm.workers_joined",
+    ("worker_left", None): "farm.workers_left",
+    ("lease_issued", None): "farm.lease_issued",
+    ("lease_heartbeat", True): "farm.heartbeats",
+    ("lease_heartbeat", False): "farm.stale_heartbeats",
+    ("lease_completed", True): "farm.units_completed",
+    ("lease_expired", None): "farm.lease_expired",
+    ("lease_reissued", None): "farm.lease_reissued",
+    ("duplicate_suppressed", None): "farm.duplicate_suppressed",
+}
 
 
 class BrokerTelemetry:
@@ -143,13 +91,24 @@ class BrokerTelemetry:
         campaign: Optional[str] = None,
         span_id: Optional[str] = None,
     ) -> Dict[str, object]:
-        """Stamp, buffer and (if enabled) publish one broker event.
+        """Count, stamp, buffer and (if enabled) publish one broker event.
 
-        The payload is pre-stamped so :class:`~repro.obs.events.
-        TraceWriter`'s ``setdefault`` calls leave it untouched — the
-        broker's threads never touch the global trace context.
+        The event's counter (:data:`EVENT_COUNTERS`) is incremented, and
+        a lease age it carries is observed into
+        ``farm.lease_age_seconds``.  The payload is pre-stamped so
+        :class:`~repro.obs.events.TraceWriter`'s ``setdefault`` calls
+        leave it untouched — the broker's threads never touch the
+        global trace context.
         """
         payload = event.to_dict()
+        outcome = payload.get("ok", payload.get("fresh"))
+        counter = EVENT_COUNTERS.get((event.type, outcome))
+        if counter is not None:
+            self.metrics.counter(counter).inc()
+        if "age_s" in payload:
+            self.metrics.histogram("farm.lease_age_seconds").observe(
+                payload["age_s"]
+            )
         payload["ts"] = time.time()
         if campaign is not None:
             payload["trace_id"] = campaign
@@ -198,15 +157,10 @@ class BrokerTelemetry:
         estimator.observe(wall, mono)
 
     def clock_offsets(self) -> Dict[str, float]:
-        """Current ``name → remote − broker`` offset estimates."""
+        """Current offset estimate per peer name."""
         with self._lock:
             estimators = dict(self._clocks)
         return {name: est.offset_s for name, est in estimators.items()}
-
-    def forget_clock(self, name: str) -> None:
-        """Drop ``name``'s estimator (client disconnected)."""
-        with self._lock:
-            self._clocks.pop(name, None)
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):
@@ -320,8 +274,3 @@ def fetch_broker_stats(
     if not isinstance(payload, dict):
         raise ConnectionError(f"malformed stats frame from {address}")
     return payload
-
-
-def render_metrics_json(stats: Dict[str, object]) -> str:
-    """``stats`` payload as stable JSON (for ``farm-top --once --json``)."""
-    return json.dumps(stats, sort_keys=True, indent=2)

@@ -46,9 +46,9 @@ from repro.farm.remote.protocol import (
     send_frame,
     unpack,
 )
-from repro.farm.remote.telemetry import clock_stamp
 from repro.obs.collector import run_unit_captured
 from repro.obs.events import EventBus
+from repro.obs.farm import clock_stamp
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS
 

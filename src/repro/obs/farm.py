@@ -1,17 +1,16 @@
-"""Analysis helpers for farm control-plane telemetry.
+"""Farm clocks and control-plane telemetry analysis.
 
-The broker ships its buffered control-plane events and per-worker clock
-offsets to the client inside the ``campaign_done`` frame; the client
-replays them into its own trace (see
-:meth:`repro.farm.remote.executor.RemoteExecutor`).  This module is the
-read side: given a merged trace, find the ``broker_clock_sync`` record,
-re-anchor every broker/worker timestamp onto the client's wall clock,
-and render the live ``stats`` frame as the ``repro farm-top`` table.
+Every farm peer stamps its frames (:func:`clock_stamp`); the broker
+folds the stamps into one :class:`ClockEstimator` per peer and ships the
+offsets, with its buffered control-plane events, to the client inside
+``campaign_done``.  This module is also the read side: given a merged
+trace, find the ``broker_clock_sync`` record, re-anchor every
+broker/worker timestamp onto the client's wall clock, and render the
+live ``stats`` frame as the ``repro farm-top`` table.
 
-Clock frames: the broker estimates ``offset(peer) = peer_wall −
-broker_wall`` for every stamped peer (min-filter, see
-:class:`repro.farm.remote.telemetry.ClockEstimator`).  The trace is
-written on the *client's* clock, so alignment maps::
+Every clock offset in the farm is ``offset(peer) = peer_wall −
+broker_wall``.  The trace is written on the *client's* clock, so
+alignment maps::
 
     broker event:  ts_client = ts_broker + offset(client)
     worker event:  ts_client = ts_worker − offset(worker) + offset(client)
@@ -21,7 +20,13 @@ Pure stdlib, no farm imports — usable on any trace file offline.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Iterable, List, Optional, Tuple
+
+#: A wall-clock step that disagrees with the monotonic clock by more
+#: than this many seconds is treated as a clock jump (NTP step, manual
+#: adjustment) and resets the offset estimator.
+CLOCK_JUMP_TOLERANCE_S = 0.25
 
 #: Event types stamped with the broker's wall clock.
 BROKER_EVENT_TYPES = frozenset(
@@ -64,13 +69,73 @@ WORKER_CLOCKED_TYPES = frozenset(
 )
 
 
+def clock_stamp() -> Dict[str, float]:
+    """The paired wall+monotonic stamp carried by hello/heartbeat frames."""
+    return {"wall": time.time(), "mono": time.monotonic()}
+
+
+class ClockEstimator:
+    """Min-filter estimate of one peer's clock offset from the broker's.
+
+    Every stamped frame yields one sample ``delta = local_wall_at_receive
+    − remote_wall_at_send = −offset + network_delay``.  Network delay is
+    non-negative and varies; the offset (absent jumps) does not — so the
+    *minimum* delta over many samples converges on ``−offset`` plus the
+    best-case one-way delay.  :attr:`offset_s` therefore reports the
+    offset in the module's convention, biased by at most that delay.
+
+    The paired monotonic stamp guards against wall-clock steps: between
+    consecutive samples ``Δwall`` must track ``Δmono``; a disagreement
+    beyond :data:`CLOCK_JUMP_TOLERANCE_S` means the remote wall clock
+    jumped, so the filter restarts (and counts the jump).
+    """
+
+    __slots__ = ("_min_delta", "samples", "jumps", "_last_wall", "_last_mono")
+
+    def __init__(self) -> None:
+        self._min_delta: Optional[float] = None
+        self.samples = 0
+        self.jumps = 0
+        self._last_wall: Optional[float] = None
+        self._last_mono: Optional[float] = None
+
+    def observe(
+        self,
+        wall_sent: float,
+        mono_sent: float,
+        wall_received: Optional[float] = None,
+    ) -> None:
+        """Fold in one stamped frame (received now unless given)."""
+        if wall_received is None:
+            wall_received = time.time()
+        if self._last_wall is not None and self._last_mono is not None:
+            wall_step = wall_sent - self._last_wall
+            mono_step = mono_sent - self._last_mono
+            if abs(wall_step - mono_step) > CLOCK_JUMP_TOLERANCE_S:
+                self._min_delta = None
+                self.jumps += 1
+        self._last_wall = wall_sent
+        self._last_mono = mono_sent
+        delta = wall_received - wall_sent
+        if self._min_delta is None or delta < self._min_delta:
+            self._min_delta = delta
+        self.samples += 1
+
+    @property
+    def offset_s(self) -> float:
+        """Estimated wall-clock offset in seconds."""
+        if self._min_delta is None:
+            return 0.0
+        return -self._min_delta
+
+
 def extract_clock_sync(
     records: Iterable[Dict[str, object]],
 ) -> Tuple[Dict[str, float], float]:
     """The last ``broker_clock_sync`` record's offsets, or ``({}, 0.0)``.
 
-    Returns ``(worker offsets, client offset)``, both in the broker's
-    ``peer − broker`` convention.  The *last* sync wins: a multi-batch
+    Returns ``(worker offsets, client offset)``, both in the module's
+    offset convention.  The *last* sync wins: a multi-batch
     campaign (pilot + rest) syncs once per batch and later estimates
     have seen more samples.
     """

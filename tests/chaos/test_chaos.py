@@ -176,8 +176,8 @@ class TestKilledWorker:
             ).run(units, deterministic_runner)
             doomed.wait(timeout=10.0)
             assert _merged_bytes(results) == expected
-            assert broker.stats["reissues"] >= 1
-            assert broker.stats["units_completed"] == 4
+            assert broker.stats_payload()["totals"]["reissues"] >= 1
+            assert broker.stats_payload()["totals"]["units_completed"] == 4
         healthy.join(timeout=5.0)
 
 
@@ -200,7 +200,7 @@ class TestDroppedAndLateResults:
             # heartbeat.  The lease must expire and the unit re-issue.
             stolen = saboteur.pull_unit()
             deadline = time.monotonic() + 10.0
-            while broker.stats["reissues"] < 1:
+            while broker.stats_payload()["totals"]["reissues"] < 1:
                 assert time.monotonic() < deadline, "lease never expired"
                 time.sleep(0.02)
             healthy = _start_thread_worker(broker.address, "healthy")
@@ -235,7 +235,7 @@ class TestDroppedAndLateResults:
             thread.join(timeout=15.0)
             assert not thread.is_alive()
             assert _merged_bytes(merged["results"]) == expected
-            assert broker.stats["reissues"] >= 1
+            assert broker.stats_payload()["totals"]["reissues"] >= 1
         healthy.join(timeout=5.0)
 
 
@@ -265,7 +265,7 @@ class TestDuplicateDelivery:
             assert not thread.is_alive()
             saboteur.close()
             assert _merged_bytes(merged["results"]) == expected
-            assert broker.stats["duplicates_dropped"] == 1
+            assert broker.stats_payload()["totals"]["duplicates_dropped"] == 1
         healthy.join(timeout=5.0)
 
 
@@ -402,7 +402,7 @@ class TestFarmObservabilityEndToEnd:
                 doomed.wait(timeout=10.0)
                 # 1) Scheduling chaos never reaches the data.
                 assert _merged_bytes(results) == expected
-                assert broker.stats["reissues"] >= 1
+                assert broker.stats_payload()["totals"]["reissues"] >= 1
                 # 2) The embedded endpoint speaks valid exposition text
                 # and counted the re-issue.
                 mhost, mport = broker.metrics_address

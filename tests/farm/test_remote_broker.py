@@ -3,13 +3,17 @@
 These talk the wire protocol directly (no RemoteExecutor, no
 run_worker) so each broker decision — version rejection, stale
 campaign pins, duplicate suppression, retry exhaustion, spool
-restore — is observable frame by frame.
+restore, the order of client frames — is observable frame by frame.
 """
 
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
+import repro.farm.remote.broker as broker_module
 from repro.farm.remote import (
     PROTOCOL_VERSION,
     FarmBroker,
@@ -86,7 +90,7 @@ class TestHandshake:
             assert "version" in reply["reason"]
         finally:
             sock.close()
-        assert broker.stats["workers_seen"] == 0
+        assert broker.stats_payload()["totals"]["workers_seen"] == 0
 
     def test_unknown_role_rejected(self, broker):
         sock = _connect(broker.address)
@@ -139,7 +143,7 @@ class TestHandshake:
             client.close()
             pinned.close()
             matching.close()
-        assert broker.stats["workers_rejected"] == 1
+        assert broker.stats_payload()["totals"]["workers_rejected"] == 1
 
 
 class TestCampaignFlow:
@@ -175,7 +179,7 @@ class TestCampaignFlow:
         finally:
             client.close()
             worker.close()
-        assert broker.stats["units_completed"] == 2
+        assert broker.stats_payload()["totals"]["units_completed"] == 2
 
     def test_duplicate_delivery_suppressed(self, broker):
         client = _connect(broker.address)
@@ -199,7 +203,7 @@ class TestCampaignFlow:
         finally:
             client.close()
             worker.close()
-        assert broker.stats["duplicates_dropped"] == 1
+        assert broker.stats_payload()["totals"]["duplicates_dropped"] == 1
 
     def test_failed_attempt_retries_then_exhausts(self, broker):
         client = _connect(broker.address)
@@ -232,8 +236,34 @@ class TestCampaignFlow:
         finally:
             client.close()
             worker.close()
-        assert broker.stats["units_failed"] == 1
-        assert broker.stats["reissues"] == 1
+        assert broker.stats_payload()["totals"]["units_failed"] == 1
+        assert broker.stats_payload()["totals"]["reissues"] == 1
+
+    def test_stale_heartbeat_counted_in_totals(self, broker):
+        client = _connect(broker.address)
+        worker = _connect(broker.address)
+        try:
+            assert _hello(client, "client")["type"] == "welcome"
+            assert _submit(client, "camp", ["u/1", "u/2"])["type"] == \
+                "accepted"
+            assert _hello(worker, "worker", worker="w1")["type"] == "welcome"
+            unit = _pull(worker)
+            assert _deliver(worker, unit["key"], unit["attempt"])["accepted"]
+            # A beat for the completed attempt is stale; one for a live
+            # lease is fresh.  Heartbeats get no reply, so poll.
+            live = _pull(worker)
+            for key, attempt in ((unit["key"], 1), (live["key"], 1)):
+                send_frame(worker, {"type": "heartbeat", "key": key,
+                                    "attempt": attempt})
+            deadline = time.monotonic() + 5.0
+            counters = broker.telemetry.metrics.counters
+            while "farm.heartbeats" not in counters:
+                assert time.monotonic() < deadline, "heartbeat never counted"
+                time.sleep(0.01)
+            assert broker.stats_payload()["totals"]["stale_heartbeats"] == 1
+        finally:
+            client.close()
+            worker.close()
 
     def test_worker_disconnect_requeues_leased_unit(self, broker):
         client = _connect(broker.address)
@@ -312,7 +342,7 @@ class TestSpoolRestore:
             finally:
                 client.close()
                 worker.close()
-            assert live.stats["units_restored"] == 2
+            assert live.stats_payload()["totals"]["units_restored"] == 2
 
     def test_spool_for_other_campaign_not_reused(self, tmp_path):
         spool_dir = tmp_path / "spool"
@@ -339,3 +369,147 @@ class TestSpoolRestore:
                 assert accepted["pending"] == 1
             finally:
                 client.close()
+
+
+def _delay_frames(monkeypatch, owner, name, should_delay, seconds):
+    """Make ``owner.name(..., frame)`` sleep before sending a frame that
+    ``should_delay``; the returned event is set when a delay starts."""
+    real = getattr(owner, name)
+    delaying = threading.Event()
+
+    def slow(*args):
+        if should_delay(args[-1]):
+            delaying.set()
+            time.sleep(seconds)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, slow)
+    return delaying
+
+
+class TestClientFrameOrder:
+    """Client frames leave in the order of the state changes behind them."""
+
+    def test_accepted_reaches_client_before_any_lease(
+        self, broker, monkeypatch
+    ):
+        _delay_frames(
+            monkeypatch, broker_module, "send_frame",
+            lambda frame: frame["type"] == "accepted", 0.3,
+        )
+        client = _connect(broker.address)
+        worker = _connect(broker.address)
+        pulled = []
+        try:
+            assert _hello(worker, "worker", worker="w1")["type"] == "welcome"
+
+            def poll():
+                # Already polling when the submit lands.
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline:
+                    frame = _pull(worker)
+                    if frame["type"] == "unit":
+                        pulled.append(frame)
+                        return
+                    time.sleep(0.01)
+
+            poller = threading.Thread(target=poll, daemon=True)
+            poller.start()
+            assert _hello(client, "client")["type"] == "welcome"
+            assert _submit(client, "camp", ["u/1"])["type"] == "accepted"
+            poller.join(timeout=10.0)
+            assert pulled, "the polling worker never leased the unit"
+            assert recv_frame(client)["type"] == "leased"
+        finally:
+            client.close()
+            worker.close()
+
+    def test_campaign_done_arrives_after_every_done(
+        self, broker, monkeypatch
+    ):
+        delaying = _delay_frames(
+            monkeypatch, broker_module._Campaign, "push",
+            lambda frame: frame["type"] == "done" and frame["key"] == "u/1",
+            0.5,
+        )
+        client = _connect(broker.address)
+        first = _connect(broker.address)
+        second = _connect(broker.address)
+        try:
+            assert _hello(client, "client")["type"] == "welcome"
+            assert _submit(client, "camp", ["u/1", "u/2"])["type"] == \
+                "accepted"
+            assert _hello(first, "worker", worker="w1")["type"] == "welcome"
+            assert _hello(second, "worker", worker="w2")["type"] == "welcome"
+            assert _pull(first)["key"] == "u/1"
+            assert _pull(second)["key"] == "u/2"
+            # u/1's done push stalls; meanwhile w2 finishes the last unit.
+            send_frame(first, {
+                "type": "result", "key": "u/1", "attempt": 1, "ok": True,
+                "elapsed_s": 0.01, "outcome": pack({"key": "u/1"}),
+            })
+            assert delaying.wait(timeout=5.0)
+            assert _deliver(second, "u/2", 1)["accepted"] is True
+            frames = _drain_until(client, "campaign_done")
+            done = [f["key"] for f in frames if f["type"] == "done"]
+            assert sorted(done) == ["u/1", "u/2"]
+            assert recv_frame(first)["accepted"] is True
+        finally:
+            client.close()
+            first.close()
+            second.close()
+
+    def test_frame_order_holds_under_contention(self, broker):
+        """More worker threads than cores race a 40-unit campaign with a
+        tiny switch interval; the client still sees ``accepted`` first,
+        each unit leased before its one ``done``, and every ``done``
+        before ``campaign_done``."""
+        keys = [f"u/{i:02d}" for i in range(40)]
+        stop = threading.Event()
+
+        def work(name):
+            sock = _connect(broker.address)
+            try:
+                assert _hello(sock, "worker", worker=name)["type"] == \
+                    "welcome"
+                while not stop.is_set():
+                    frame = _pull(sock)
+                    if frame["type"] == "unit":
+                        _deliver(sock, frame["key"], frame["attempt"])
+                    else:
+                        time.sleep(0.005)
+            finally:
+                sock.close()
+
+        workers = [
+            threading.Thread(target=work, args=(f"w{i}",), daemon=True)
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        client = _connect(broker.address)
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in workers:
+                thread.start()
+            assert _hello(client, "client")["type"] == "welcome"
+            assert _submit(client, "camp", keys)["type"] == "accepted"
+            frames = _drain_until(client, "campaign_done", limit=200)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            for thread in workers:
+                thread.join(timeout=5.0)
+            client.close()
+        assert not any(thread.is_alive() for thread in workers)
+        leased, done = set(), []
+        for frame in frames:
+            if frame["type"] == "leased":
+                leased.add(frame["key"])
+            elif frame["type"] == "done":
+                assert frame["key"] in leased
+                done.append(frame["key"])
+        assert sorted(done) == keys
+        assert frames[-1]["completed"] == len(keys)
+        totals = broker.stats_payload()["totals"]
+        assert totals["units_completed"] == len(keys)
+        assert totals["units_dispatched"] == len(keys)

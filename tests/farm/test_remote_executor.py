@@ -7,6 +7,7 @@ genuine process boundary, exactly like production.
 """
 
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -30,7 +31,11 @@ from repro.farm.remote import (
     RemoteExecutor,
     RemoteFarmError,
     WorkerRejected,
+    pack,
+    recv_frame,
     run_worker,
+    send_frame,
+    unpack,
 )
 from repro.farm.workunit import WorkUnit
 
@@ -100,7 +105,7 @@ class TestRemoteExecution:
             assert ours.measurements == theirs.measurements
             assert ours.index == theirs.index
         assert {r.worker for r in remote} <= {"w0", "w1"}
-        assert broker.stats["units_completed"] == 6
+        assert broker.stats_payload()["totals"]["units_completed"] == 6
 
     def test_per_unit_seeds_survive_the_wire(self):
         units = _units(4)
@@ -120,7 +125,7 @@ class TestRemoteExecution:
         assert [r.value for r in remote] == [r.value for r in serial]
         assert [r.rtp for r in remote] == [r.rtp for r in serial]
         # Two batches (pilot + broadcast rest) means two broker campaigns.
-        assert broker.stats["campaigns"] == 2
+        assert broker.stats_payload()["totals"]["campaigns"] == 2
 
     def test_broker_side_retry_of_flaky_unit(self, tmp_path):
         units = [
@@ -137,7 +142,7 @@ class TestRemoteExecution:
             ).run(units, flaky_runner)
         assert [r.value for r in results] == [u.key for u in units]
         assert all(r.attempts == 2 for r in results)
-        assert broker.stats["reissues"] == 3
+        assert broker.stats_payload()["totals"]["reissues"] == 3
 
     def test_exhausted_attempts_raise_farm_execution_error(self):
         with _farm(workers=1) as broker:
@@ -146,7 +151,7 @@ class TestRemoteExecution:
                     _units(2), failing_runner
                 )
         assert "unit/000" in str(info.value)
-        assert broker.stats["units_failed"] == 2
+        assert broker.stats_payload()["totals"]["units_failed"] == 2
 
     def test_elastic_worker_joins_after_submit(self):
         with FarmBroker(port=0, poll_s=0.02) as broker:
@@ -175,7 +180,7 @@ class TestRemoteExecution:
                 resumed = executor.run(units, echo_runner, checkpoint=store)
         assert all(r.from_checkpoint for r in resumed)
         # The second run never reached the broker: one campaign total.
-        assert broker.stats["campaigns"] == 1
+        assert broker.stats_payload()["totals"]["campaigns"] == 1
 
     def test_unreachable_broker_raises_remote_farm_error(self):
         executor = RemoteExecutor(
@@ -191,6 +196,48 @@ class TestRemoteExecution:
         with _farm(workers=1) as broker:
             with pytest.raises(ValueError):
                 RemoteExecutor(broker.address).run(_units(1), local_runner)
+
+    def test_campaign_done_with_outstanding_units_raises(self):
+        """A scripted broker ends the campaign after one of three
+        results: the client names the two missing units instead of
+        failing later in the merge."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10.0)
+        delivered = []
+
+        def fake_broker():
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)  # hello
+                send_frame(conn, {"type": "welcome", "version": 1})
+                submit = recv_frame(conn)
+                send_frame(conn, {"type": "accepted", "pending": 3,
+                                  "restored": 0})
+                first = unpack(submit["units"][0]["unit"])
+                delivered.append(first.key)
+                send_frame(conn, {
+                    "type": "done", "key": first.key, "attempt": 1,
+                    "worker": "w", "elapsed_s": 0.0,
+                    "outcome": pack(echo_runner(first)), "telemetry": None,
+                })
+                send_frame(conn, {"type": "campaign_done", "completed": 1,
+                                  "failed": []})
+                recv_frame(conn)  # the client hangs up
+
+        thread = threading.Thread(target=fake_broker, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(RemoteFarmError) as info:
+                RemoteExecutor(listener.getsockname()).run(
+                    _units(3), echo_runner
+                )
+        finally:
+            thread.join(timeout=10.0)
+            listener.close()
+        message = str(info.value)
+        assert "2 unit(s) outstanding" in message
+        missing = sorted({"unit/000", "unit/001", "unit/002"} - set(delivered))
+        assert f"outstanding: {', '.join(missing)}" in message
 
 
 class TestMakeExecutorRemote:
