@@ -162,7 +162,7 @@ class WorstCaseAssessor:
 
     def assess(self, test: TestCase, measured_value: float) -> Assessment:
         """Assess a test case from its pattern and its measured value."""
-        features = extract_features(test.sequence)
+        features = test.sequence.features(extract_features)
         return self.assess_crisp(
             wcr=worst_case_ratio(measured_value, self.parameter),
             activity=features["peak_window_activity"],

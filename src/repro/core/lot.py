@@ -42,6 +42,7 @@ from repro.core.wcr import WCRClassifier, worst_case_ratio
 from repro.device.memory_chip import MemoryTestChip
 from repro.device.parameters import DeviceParameter, SpecDirection, T_DQ_PARAMETER
 from repro.device.process import ProcessCorner, ProcessInstance, ProcessModel
+from repro.patterns.features import extract_features
 from repro.patterns.testcase import TestCase
 from repro.search.base import PassRegion
 
@@ -346,6 +347,8 @@ class LotCharacterizer:
             raise ValueError("need at least one die")
         if not tests:
             raise ValueError("need at least one test")
+        for test in tests:  # extracted once here, carried by every die's unit
+            test.sequence.features(extract_features)
         dies = self.process.sample_lot(n_dies, corner=corner)
         units = [
             self.die_unit(die, tests, index=i) for i, die in enumerate(dies)

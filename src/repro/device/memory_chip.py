@@ -30,7 +30,8 @@ from repro.patterns.testcase import TestCase
 from repro.patterns.vectors import (
     DEFAULT_ADDR_BITS,
     DEFAULT_DATA_BITS,
-    Operation,
+    OP_READ,
+    OP_WRITE,
     VectorSequence,
 )
 
@@ -146,9 +147,8 @@ class MemoryTestChip:
         self.parameter = parameter
         self._array = _MemoryArray(1 << addr_bits, data_bits, faults)
         self._golden = _MemoryArray(1 << addr_bits, data_bits, ())
-        # Feature and functional caches keyed by sequence identity; the
-        # sequence object is pinned in the value so ids cannot be recycled.
-        self._feature_cache: Dict[int, Tuple[VectorSequence, PatternFeatures]] = {}
+        # Functional results keyed by sequence identity; the sequence
+        # object is pinned in the value so ids cannot be recycled.
         self._functional_cache: Dict[int, Tuple[VectorSequence, FunctionalResult]] = {}
         # Heating-independent parametric values memoized per (sequence,
         # condition) — a small LRU, since a characterization campaign probes
@@ -172,16 +172,17 @@ class MemoryTestChip:
         self._golden.reset()
         mismatches: List[Tuple[int, int, int, int]] = []
         reads = 0
-        for cycle, vector in enumerate(sequence):
-            if vector.op is Operation.WRITE:
-                self._array.write(vector.address, vector.data)
-                self._golden.write(vector.address, vector.data)
-            elif vector.op is Operation.READ:
+        cycles = zip(*(column.tolist() for column in sequence.columns))
+        for cycle, (op, address, data) in enumerate(cycles):
+            if op == OP_WRITE:
+                self._array.write(address, data)
+                self._golden.write(address, data)
+            elif op == OP_READ:
                 reads += 1
-                observed = self._array.read(vector.address)
-                expected = self._golden.read(vector.address)
+                observed = self._array.read(address)
+                expected = self._golden.read(address)
                 if observed != expected:
-                    mismatches.append((cycle, vector.address, expected, observed))
+                    mismatches.append((cycle, address, expected, observed))
         result = FunctionalResult(
             cycles=len(sequence), reads=reads, mismatches=tuple(mismatches)
         )
@@ -190,13 +191,8 @@ class MemoryTestChip:
 
     # -- parametric face ---------------------------------------------------------
     def features_of(self, sequence: VectorSequence) -> PatternFeatures:
-        """Cached activity features of a sequence."""
-        cached = self._feature_cache.get(id(sequence))
-        if cached is not None and cached[0] is sequence:
-            return cached[1]
-        features = extract_features(sequence)
-        self._feature_cache[id(sequence)] = (sequence, features)
-        return features
+        """Activity features of a sequence, extracted once per sequence."""
+        return sequence.features(extract_features)
 
     #: Entries kept in the per-(sequence, condition) static-value LRU.
     _STATIC_CACHE_SIZE = 128
@@ -320,7 +316,6 @@ class MemoryTestChip:
         # survive a pickle round-trip; ship the chip without them so farm
         # workers start from a clean, small state.
         state = self.__dict__.copy()
-        state["_feature_cache"] = {}
         state["_functional_cache"] = {}
         state["_static_cache"] = OrderedDict()
         return state

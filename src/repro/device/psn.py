@@ -29,16 +29,8 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.patterns.vectors import Operation, VectorSequence
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    counts = np.zeros_like(values)
-    work = values.copy()
-    while np.any(work):
-        counts += work & 1
-        work >>= 1
-    return counts
+from repro.patterns.features import bus_switching
+from repro.patterns.vectors import OP_NOP, VectorSequence
 
 
 @dataclass(frozen=True)
@@ -72,29 +64,14 @@ class SupplyNoiseModel:
     # -- activity ---------------------------------------------------------------
     def cycle_toggles(self, sequence: VectorSequence) -> np.ndarray:
         """Per-cycle switched bits (address bus + write-data bus)."""
-        n = len(sequence)
-        addresses = np.array(sequence.addresses(), dtype=np.int64)
-        raw_data = np.array(
-            [v.data if v.op is Operation.WRITE else -1 for v in sequence],
-            dtype=np.int64,
-        )
-        write_positions = np.where(raw_data >= 0, np.arange(n), -1)
-        last_write = np.maximum.accumulate(write_positions)
-        bus_data = np.where(last_write >= 0, raw_data[np.maximum(last_write, 0)], 0)
-
-        toggles = np.zeros(n, dtype=float)
-        if n >= 2:
-            toggles[1:] += _popcount(addresses[1:] ^ addresses[:-1])
-            toggles[1:] += _popcount(bus_data[1:] ^ bus_data[:-1])
-        return toggles
+        addr_toggles, data_toggles = bus_switching(sequence)
+        return np.concatenate(([0.0], addr_toggles + data_toggles))
 
     def cycle_currents_ma(self, sequence: VectorSequence) -> np.ndarray:
         """Per-cycle instantaneous current draw in mA."""
         cfg = self.config
         toggles = self.cycle_toggles(sequence)
-        active = np.array(
-            [v.op is not Operation.NOP for v in sequence], dtype=float
-        )
+        active = (sequence.ops != OP_NOP).astype(float)
         return (
             cfg.baseline_current_ma
             + cfg.active_cycle_current_ma * active

@@ -27,8 +27,9 @@ from repro.ga.chromosome import TestIndividual
 from repro.patterns.vectors import (
     MAX_SEQUENCE_CYCLES,
     MIN_SEQUENCE_CYCLES,
-    Operation,
-    TestVector,
+    OP_NOP,
+    OP_READ,
+    OP_WRITE,
     VectorSequence,
 )
 
@@ -69,15 +70,31 @@ def crossover_sequences(
     return a.spliced(b, cut_a, cut_b), b.spliced(a, cut_b, cut_a)
 
 
-def _random_vector(
-    rng: np.random.Generator, addr_bits: int, data_bits: int
-) -> TestVector:
-    op = rng.choice([Operation.READ, Operation.WRITE, Operation.NOP],
-                    p=[0.45, 0.45, 0.10])
-    return TestVector(
-        op,
+Cycle = Tuple[int, int, int]  # (op code, address, data)
+
+
+def _random_cycle(rng: np.random.Generator, addr_bits: int, data_bits: int) -> Cycle:
+    return (
+        (OP_READ, OP_WRITE, OP_NOP)[rng.choice(3, p=[0.45, 0.45, 0.10])],
         int(rng.integers(0, 1 << addr_bits)),
         int(rng.integers(0, 1 << data_bits)),
+    )
+
+
+def _with_cycles(
+    sequence: VectorSequence, index: object, cycles: Sequence[Cycle], length: int
+) -> VectorSequence:
+    """Copy of ``sequence`` with ``cycles`` written at ``index`` (which may
+    reach past its end), cut to ``length``."""
+    values = list(zip(*cycles)) or [(), (), ()]
+    columns = []
+    for column, new in zip(sequence.columns, values):
+        out = np.zeros(max(length, len(column)), dtype=column.dtype)
+        out[: len(column)] = column
+        out[index] = new
+        columns.append(out[:length])
+    return VectorSequence(
+        (), sequence.addr_bits, sequence.data_bits, sequence.name, columns=columns
     )
 
 
@@ -89,23 +106,20 @@ def point_mutate_sequence(
     """Rewrite each cycle independently with probability ``rate``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must be in [0, 1]")
-    vectors = list(sequence.vectors)
-    mutated = False
-    for i in range(len(vectors)):
+    hits, cycles = [], []
+    for i in range(len(sequence)):
         if rng.random() < rate:
-            vectors[i] = _random_vector(rng, sequence.addr_bits, sequence.data_bits)
-            mutated = True
-    if not mutated:
+            hits.append(i)
+            cycles.append(_random_cycle(rng, sequence.addr_bits, sequence.data_bits))
+    if not hits:
         return sequence
-    return VectorSequence(
-        vectors, sequence.addr_bits, sequence.data_bits, name=sequence.name
-    )
+    return _with_cycles(sequence, hits, cycles, len(sequence))
 
 
 # -- motifs ----------------------------------------------------------------------
 def _motif_toggle_burst(
     rng: np.random.Generator, length: int, addr_bits: int, data_bits: int
-) -> List[TestVector]:
+) -> List[Cycle]:
     """Hot window: full data-bus and address-bus toggling writes."""
     mask = (1 << data_bits) - 1
     full = (1 << addr_bits) - 1
@@ -115,30 +129,30 @@ def _motif_toggle_burst(
     for _ in range(length):
         word ^= mask
         addr ^= full
-        out.append(TestVector(Operation.WRITE, addr, word))
+        out.append((OP_WRITE, addr, word))
     return out
 
 
 def _motif_raw_pairs(
     rng: np.random.Generator, length: int, addr_bits: int, data_bits: int
-) -> List[TestVector]:
+) -> List[Cycle]:
     """Same-address write-then-read pairs with MSB-hopping addresses."""
     half = 1 << (addr_bits - 1)
     mask = (1 << data_bits) - 1
     word = int(rng.integers(0, 1 << data_bits))
     addr = int(rng.integers(0, 1 << addr_bits))
-    out: List[TestVector] = []
+    out: List[Cycle] = []
     while len(out) < length:
         word ^= mask
         addr ^= half
-        out.append(TestVector(Operation.WRITE, addr, word))
-        out.append(TestVector(Operation.READ, addr, 0))
+        out.append((OP_WRITE, addr, word))
+        out.append((OP_READ, addr, 0))
     return out[:length]
 
 
 def _motif_msb_hop(
     rng: np.random.Generator, length: int, addr_bits: int, data_bits: int
-) -> List[TestVector]:
+) -> List[Cycle]:
     """Writes hopping between the two address halves every cycle."""
     half = 1 << (addr_bits - 1)
     addr = int(rng.integers(0, 1 << addr_bits))
@@ -146,7 +160,7 @@ def _motif_msb_hop(
     for _ in range(length):
         addr ^= half
         data = int(rng.integers(0, 1 << data_bits))
-        out.append(TestVector(Operation.WRITE, addr, data))
+        out.append((OP_WRITE, addr, data))
     return out
 
 
@@ -171,14 +185,8 @@ def motif_mutate_sequence(
     motif = _MOTIF_BUILDERS[name](
         rng, length, sequence.addr_bits, sequence.data_bits
     )
-    vectors = list(sequence.vectors)
-    vectors[start : start + length] = motif
-    return VectorSequence(
-        vectors[:MAX_SEQUENCE_CYCLES],
-        sequence.addr_bits,
-        sequence.data_bits,
-        name=sequence.name,
-    )
+    end = min(len(sequence), MAX_SEQUENCE_CYCLES)
+    return _with_cycles(sequence, slice(start, start + length), motif, end)
 
 
 def resize_mutate_sequence(
@@ -191,17 +199,11 @@ def resize_mutate_sequence(
     target = int(
         np.clip(len(sequence) + change, MIN_SEQUENCE_CYCLES, MAX_SEQUENCE_CYCLES)
     )
-    vectors = list(sequence.vectors)
-    if target <= len(vectors):
-        vectors = vectors[:target]
-    else:
-        while len(vectors) < target:
-            vectors.append(
-                _random_vector(rng, sequence.addr_bits, sequence.data_bits)
-            )
-    return VectorSequence(
-        vectors, sequence.addr_bits, sequence.data_bits, name=sequence.name
-    )
+    grown = [
+        _random_cycle(rng, sequence.addr_bits, sequence.data_bits)
+        for _ in range(target - len(sequence))
+    ]
+    return _with_cycles(sequence, slice(len(sequence), target), grown, target)
 
 
 # -- condition species --------------------------------------------------------------

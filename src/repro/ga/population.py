@@ -94,19 +94,16 @@ class Population:
         sequence.  0 means every sequence equals the best's; 1 means no
         cycle agrees anywhere.
         """
-        reference = list(self.best().sequence)
+        reference = self.best().sequence
         distances = []
         for individual in self.individuals:
-            sequence = list(individual.sequence)
-            longest = max(len(reference), len(sequence))
-            if longest == 0:
-                distances.append(0.0)
-                continue
-            mismatches = sum(
-                1 for a, b in zip(reference, sequence) if a != b
-            )
-            mismatches += abs(len(reference) - len(sequence))
-            distances.append(mismatches / longest)
+            sequence = individual.sequence
+            common = min(len(reference), len(sequence))
+            differs = np.zeros(common, dtype=bool)
+            for mine, theirs in zip(reference.columns, sequence.columns):
+                differs |= mine[:common] != theirs[:common]
+            mismatches = np.count_nonzero(differs) + abs(len(reference) - len(sequence))
+            distances.append(mismatches / max(len(reference), len(sequence)))
         return float(np.mean(distances))
 
     def condition_diversity(self) -> float:

@@ -57,7 +57,7 @@ class TestEncoder:
 
     def encode(self, test: TestCase) -> np.ndarray:
         """Encode a single test case as a ``[0, 1]`` vector."""
-        features = extract_features(test.sequence).values
+        features = test.sequence.features(extract_features).values
         if not self.include_condition:
             return features.copy()
         condition = self.condition_space.normalize(test.condition)

@@ -26,7 +26,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.patterns.vectors import Operation, VectorSequence
+from repro.patterns.vectors import OP_NOP, OP_READ, OP_WRITE, VectorSequence, checkerboard_word
 
 #: Canonical feature order.  Extend only by appending — NN weight files
 #: record the feature dimension they were trained with.
@@ -135,46 +135,42 @@ def _max_run_length(mask: np.ndarray) -> int:
     return int(np.max(ends - starts))
 
 
+def bus_switching(sequence: VectorSequence) -> Tuple[np.ndarray, np.ndarray]:
+    """Address-bus and data-bus bits switched at each of the ``len - 1``
+    cycle transitions.  The data bus holds the last written word through
+    reads and NOPs (zero before the first write).
+    """
+    writes = np.where(sequence.ops == OP_WRITE, np.arange(len(sequence)), -1)
+    last_write = np.maximum.accumulate(writes)
+    bus_data = np.where(last_write >= 0, sequence.data[np.maximum(last_write, 0)], 0)
+    addresses = sequence.addresses
+    return (
+        _popcount(addresses[1:] ^ addresses[:-1]),
+        _popcount(bus_data[1:] ^ bus_data[:-1]),
+    )
+
+
 def extract_features(sequence: VectorSequence) -> PatternFeatures:
     """Extract the canonical activity features of a vector sequence.
 
     Every feature is normalized to ``[0, 1]``.  Extraction is deterministic
-    and linear in the sequence length.
+    and linear in the sequence length.  ``sequence.features(extract_features)``
+    extracts once per sequence.
     """
     n = len(sequence)
     addr_bits = sequence.addr_bits
     data_bits = sequence.data_bits
 
-    addresses = np.array(sequence.addresses(), dtype=np.int64)
-    ops = np.array(
-        [0 if op is Operation.NOP else (1 if op is Operation.READ else 2)
-         for op in sequence.operations()],
-        dtype=np.int64,
-    )
-    is_read = ops == 1
-    is_write = ops == 2
-    is_active = ops != 0
-
-    # Written data stream (holds the last written word through reads/NOPs so
-    # bus toggle reflects what actually switches on the data bus).
-    raw_data = np.array(
-        [vec.data if vec.op is Operation.WRITE else -1 for vec in sequence],
-        dtype=np.int64,
-    )
-    write_positions = np.where(raw_data >= 0, np.arange(n), -1)
-    last_write_index = np.maximum.accumulate(write_positions)
-    bus_data = np.where(
-        last_write_index >= 0,
-        raw_data[np.maximum(last_write_index, 0)],
-        0,
-    )
+    addresses = sequence.addresses
+    is_read = sequence.ops == OP_READ
+    is_write = sequence.ops == OP_WRITE
+    is_active = sequence.ops != OP_NOP
 
     features = np.zeros(len(FEATURE_NAMES), dtype=float)
     index = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
     if n >= 2:
-        addr_xor = addresses[1:] ^ addresses[:-1]
-        addr_hamming = _popcount(addr_xor)
+        addr_hamming, data_hamming = bus_switching(sequence)
         features[index["addr_transition_density"]] = float(
             np.mean(addr_hamming) / addr_bits
         )
@@ -182,7 +178,7 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
         features[index["addr_msb_toggle_rate"]] = float(
             np.mean(msb[1:] != msb[:-1])
         )
-        jumps = np.abs(np.diff(addresses))
+        jumps = np.abs(np.diff(addresses.astype(np.int64)))
         features[index["addr_jump_distance"]] = float(
             np.mean(jumps) / max(1, (1 << addr_bits) - 1)
         )
@@ -190,9 +186,8 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
         features[index["addr_repeat_run"]] = min(
             1.0, _mean_run_length(repeat) / 8.0
         )
-        data_xor = bus_data[1:] ^ bus_data[:-1]
         features[index["data_toggle_density"]] = float(
-            np.mean(_popcount(data_xor)) / data_bits
+            np.mean(data_hamming) / data_bits
         )
         op_flip = (is_read[1:] & is_write[:-1]) | (is_write[1:] & is_read[:-1])
         features[index["rw_alternation_rate"]] = float(np.mean(op_flip))
@@ -203,17 +198,14 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
         idle_to_active = is_active[1:] & ~is_active[:-1]
         features[index["idle_to_active_rate"]] = float(np.mean(idle_to_active))
 
-    written = bus_data[is_write]
+    written = sequence.data[is_write]
     if written.size:
         features[index["data_ones_density"]] = float(
             np.mean(_popcount(written)) / data_bits
         )
-        checker = np.array(
-            [_checkerboard_distance(a, d, data_bits)
-             for a, d in zip(addresses[is_write], written)],
-            dtype=float,
+        features[index["checkerboard_affinity"]] = float(
+            1.0 - np.mean(_checkerboard_distance(written, data_bits))
         )
-        features[index["checkerboard_affinity"]] = float(1.0 - np.mean(checker))
 
     features[index["write_fraction"]] = float(np.mean(is_write))
     features[index["read_fraction"]] = float(np.mean(is_read))
@@ -225,7 +217,7 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
     )
 
     if n >= 2:
-        activity = (addr_hamming / addr_bits + _popcount(data_xor) / data_bits) / 2.0
+        activity = (addr_hamming / addr_bits + data_hamming / data_bits) / 2.0
         window = min(PEAK_WINDOW_CYCLES, activity.size)
         kernel = np.ones(window) / window
         rolling = np.convolve(activity, kernel, mode="valid")
@@ -235,12 +227,11 @@ def extract_features(sequence: VectorSequence) -> PatternFeatures:
     return PatternFeatures(features)
 
 
-def _checkerboard_distance(address: int, data: int, data_bits: int) -> float:
-    """Normalized Hamming distance of ``data`` to the nearer checkerboard phase."""
-    phase0 = 0
-    for bit in range(data_bits):
-        phase0 |= ((address + bit) & 1) << bit
-    phase1 = phase0 ^ ((1 << data_bits) - 1)
-    dist0 = bin(data ^ phase0).count("1")
-    dist1 = bin(data ^ phase1).count("1")
-    return min(dist0, dist1) / data_bits
+def _checkerboard_distance(data: np.ndarray, data_bits: int) -> np.ndarray:
+    """Normalized Hamming distance of each word to the nearer checkerboard phase.
+
+    The two phases are complements, so the nearer one is as near whatever
+    the word's address: ``min(d, data_bits - d)`` against either phase.
+    """
+    distance = _popcount(data ^ checkerboard_word(0, data_bits))
+    return np.minimum(distance, data_bits - distance) / data_bits

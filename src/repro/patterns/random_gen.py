@@ -26,7 +26,7 @@ application board" of section 3.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,10 +37,14 @@ from repro.patterns.vectors import (
     DEFAULT_DATA_BITS,
     MAX_SEQUENCE_CYCLES,
     MIN_SEQUENCE_CYCLES,
-    Operation,
-    TestVector,
+    OP_NOP,
+    OP_READ,
+    OP_WRITE,
     VectorSequence,
 )
+
+#: A builder's ``(ops, addresses, data)`` column lists.
+Columns = Tuple[List[int], List[int], List[int]]
 
 #: Stimulus styles and their default mixing weights.
 STYLES: Tuple[Tuple[str, float], ...] = (
@@ -103,11 +107,11 @@ class RandomTestGenerator:
         builder = getattr(self, f"_build_{style}", None)
         if builder is None:
             raise ValueError(f"unknown stimulus style {style!r}")
-        vectors = builder(rng, cycles)
+        columns = builder(rng, cycles)
         name = f"rnd_{self._counter:05d}_{style}"
         self._counter += 1
         sequence = VectorSequence(
-            vectors, self.addr_bits, self.data_bits, name=name
+            addr_bits=self.addr_bits, data_bits=self.data_bits, name=name, columns=columns
         )
         if self.condition_space is not None:
             condition = self.condition_space.sample(rng)
@@ -125,77 +129,72 @@ class RandomTestGenerator:
             yield self.generate()
 
     # -- style builders --------------------------------------------------------
+    # Each builder returns ``(ops, addresses, data)`` column lists.  The
+    # order of ``rng`` calls is part of every seed's output: keep it.
     def _rand_addr(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, 1 << self.addr_bits))
 
     def _rand_data(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, 1 << self.data_bits))
 
-    def _build_uniform(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
-        ops = rng.choice([Operation.READ, Operation.WRITE, Operation.NOP],
-                         size=cycles, p=[0.45, 0.45, 0.10])
-        return [
-            TestVector(op, self._rand_addr(rng), self._rand_data(rng))
-            for op in ops
-        ]
+    def _build_uniform(self, rng: np.random.Generator, cycles: int) -> Columns:
+        picks = rng.choice(3, size=cycles, p=[0.45, 0.45, 0.10])
+        ops = [(OP_READ, OP_WRITE, OP_NOP)[pick] for pick in picks]
+        addresses, data = [], []
+        for _ in ops:
+            addresses.append(self._rand_addr(rng))
+            data.append(self._rand_data(rng))
+        return ops, addresses, data
 
-    def _build_burst(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
-        vectors: List[TestVector] = []
-        while len(vectors) < cycles:
+    def _build_burst(self, rng: np.random.Generator, cycles: int) -> Columns:
+        ops, addresses, data = [], [], []
+        while len(ops) < cycles:
             base = self._rand_addr(rng)
             burst = int(rng.integers(2, 9))
             word = self._rand_data(rng)
             for offset in range(burst):
                 addr = (base + offset) % (1 << self.addr_bits)
-                vectors.append(TestVector(Operation.WRITE, addr, word ^ offset))
-                vectors.append(TestVector(Operation.READ, addr, 0))
-        return vectors[:cycles]
+                ops += [OP_WRITE, OP_READ]
+                addresses += [addr, addr]
+                data += [word ^ offset, 0]
+        return ops[:cycles], addresses[:cycles], data[:cycles]
 
-    def _build_sweep(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
+    def _build_sweep(self, rng: np.random.Generator, cycles: int) -> Columns:
         stride = int(rng.integers(1, 17))
         addr = self._rand_addr(rng)
         word = self._rand_data(rng)
         write_phase = bool(rng.integers(0, 2))
-        vectors: List[TestVector] = []
+        ops, addresses = [], []
         for _ in range(cycles):
-            op = Operation.WRITE if write_phase else Operation.READ
-            vectors.append(TestVector(op, addr, word))
+            ops.append(OP_WRITE if write_phase else OP_READ)
+            addresses.append(addr)
             addr = (addr + stride) % (1 << self.addr_bits)
             if rng.random() < 0.02:
                 write_phase = not write_phase
-        return vectors
+        return ops, addresses, [word] * cycles
 
-    def _build_hammer(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
+    def _build_hammer(self, rng: np.random.Generator, cycles: int) -> Columns:
         hot = [self._rand_addr(rng) for _ in range(int(rng.integers(1, 4)))]
-        vectors: List[TestVector] = []
-        for i in range(cycles):
-            addr = hot[i % len(hot)]
+        ops, data = [], []
+        for _ in range(cycles):
             if rng.random() < 0.5:
-                vectors.append(TestVector(Operation.WRITE, addr,
-                                          self._rand_data(rng)))
+                ops.append(OP_WRITE)
+                data.append(self._rand_data(rng))
             else:
-                vectors.append(TestVector(Operation.READ, addr, 0))
-        return vectors
+                ops.append(OP_READ)
+                data.append(0)
+        return ops, [hot[i % len(hot)] for i in range(cycles)], data
 
-    def _build_toggle(
-        self, rng: np.random.Generator, cycles: int
-    ) -> List[TestVector]:
+    def _build_toggle(self, rng: np.random.Generator, cycles: int) -> Columns:
         mask = (1 << self.data_bits) - 1
         word = int(rng.integers(0, 1 << self.data_bits))
         half = 1 << (self.addr_bits - 1)
         addr = self._rand_addr(rng)
-        vectors: List[TestVector] = []
+        addresses, data = [], []
         for i in range(cycles):
             word ^= mask  # AA/55-style full-bus toggle
             addr ^= half if i % 2 else int(rng.integers(0, 1 << self.addr_bits))
             addr &= (1 << self.addr_bits) - 1
-            vectors.append(TestVector(Operation.WRITE, addr, word))
-        return vectors
+            addresses.append(addr)
+            data.append(word)
+        return [OP_WRITE] * cycles, addresses, data

@@ -2,16 +2,18 @@
 
 A :class:`TestVector` describes one tester cycle applied to the device under
 test: an operation (read / write / nop), an address and — for writes — a data
-word.  A :class:`VectorSequence` is an immutable, validated list of vectors;
-the paper uses short sequences of 100 to 1000 cycles so that a worst-case
-test can be pin-pointed precisely (section 3).
+word.  A :class:`VectorSequence` is an immutable, validated run of cycles,
+stored as columns; the paper uses short sequences of 100 to 1000 cycles
+so that a worst-case test can be pin-pointed precisely (section 3).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 #: Default address width of the simulated memory test chip (1024 words).
 DEFAULT_ADDR_BITS = 10
@@ -50,133 +52,167 @@ class TestVector:
 
     def validate(self, addr_bits: int, data_bits: int) -> None:
         """Raise :class:`ValueError` if the vector does not fit the DUT bus."""
-        if not 0 <= self.address < (1 << addr_bits):
-            raise ValueError(
-                f"address {self.address} out of range for {addr_bits} address bits"
-            )
-        if not 0 <= self.data < (1 << data_bits):
-            raise ValueError(
-                f"data {self.data:#x} out of range for {data_bits} data bits"
-            )
+        VectorSequence([self], addr_bits, data_bits)
 
     def __str__(self) -> str:
         return f"{self.op.value}@{self.address:04x}:{self.data:02x}"
 
 
-class VectorSequence:
-    """An immutable sequence of :class:`TestVector` cycles.
+#: Operation of each code in :attr:`VectorSequence.ops`, and back.
+OPERATIONS: Tuple[Operation, ...] = (Operation.NOP, Operation.READ, Operation.WRITE)
+OP_CODE: Dict[Operation, int] = {op: code for code, op in enumerate(OPERATIONS)}
+OP_NOP, OP_READ, OP_WRITE = range(len(OPERATIONS))
 
-    Parameters
-    ----------
-    vectors:
-        The per-cycle vectors, in application order.
-    addr_bits, data_bits:
-        Bus geometry used to validate every vector.
-    name:
-        Optional human-readable label (e.g. ``"march_cm"`` or ``"rnd_0042"``).
+
+class VectorSequence:
+    """An immutable sequence of tester cycles, stored as three columns.
+
+    ``ops`` holds each cycle's :data:`OPERATIONS` code as ``uint8``;
+    ``addresses`` and ``data`` hold every cycle's address and data word,
+    reads and NOPs included, in the narrowest unsigned type that fits
+    ``addr_bits`` and ``data_bits``.  Built from ``vectors`` or from
+    ``columns=(ops, addresses, data)``, validated once as arrays, and
+    read-only.  Iterating or indexing yields :class:`TestVector` views.
     """
 
-    __slots__ = ("_vectors", "addr_bits", "data_bits", "name")
+    __slots__ = ("ops", "addresses", "data", "addr_bits", "data_bits", "name", "_features")
 
     def __init__(
         self,
-        vectors: Iterable[TestVector],
+        vectors: Iterable[TestVector] = (),
         addr_bits: int = DEFAULT_ADDR_BITS,
         data_bits: int = DEFAULT_DATA_BITS,
         name: str = "",
+        *,
+        columns: Optional[Tuple[Sequence[int], Sequence[int], Sequence[int]]] = None,
     ) -> None:
-        vecs: Tuple[TestVector, ...] = tuple(vectors)
-        if not vecs:
+        if columns is None:
+            cycles = [(OP_CODE[vec.op], vec.address, vec.data) for vec in vectors]
+            columns = tuple(zip(*cycles)) or ((), (), ())
+        ops, addresses, data = (_int_column(values) for values in columns)
+        if not ops.size:
             raise ValueError("a vector sequence must contain at least one cycle")
-        for vec in vecs:
-            vec.validate(addr_bits, data_bits)
-        self._vectors = vecs
+        if ops.ndim != 1 or addresses.shape != ops.shape or data.shape != ops.shape:
+            raise ValueError("columns must be one-dimensional and of equal length")
+        bad_op = (ops < 0) | (ops >= len(OPERATIONS))
+        bad_addr = (addresses < 0) | (addresses >= (1 << addr_bits))
+        bad_data = (data < 0) | (data >= (1 << data_bits))
+        bad = bad_op | bad_addr | bad_data
+        if bad.any():  # report the first bad cycle, its address before its data
+            cycle = int(np.argmax(bad))
+            if bad_op[cycle]:
+                raise ValueError(f"operation code {int(ops[cycle])} at cycle {cycle}")
+            if bad_addr[cycle]:
+                value, bits = int(addresses[cycle]), addr_bits
+                raise ValueError(f"address {value} out of range for {bits} address bits")
+            value, bits = int(data[cycle]), data_bits
+            raise ValueError(f"data {value:#x} out of range for {bits} data bits")
+        self.ops = ops.astype(np.uint8)
+        self.addresses = addresses.astype(column_dtype(addr_bits))
+        self.data = data.astype(column_dtype(data_bits))
         self.addr_bits = addr_bits
         self.data_bits = data_bits
         self.name = name
+        self._features: Any = None
+        self._freeze()
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ops, addresses, data)``."""
+        return self.ops, self.addresses, self.data
+
+    def _freeze(self) -> None:
+        for array in self.columns:
+            array.setflags(write=False)
+        if self._features is not None:
+            self._features.values.setflags(write=False)
+
+    # The feature memo travels in pickles, e.g. to farm workers.
+    def __getstate__(self) -> Dict[str, Any]:
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for slot, value in state.items():
+            setattr(self, slot, value)
+        self._freeze()
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self.ops)
 
     def __iter__(self) -> Iterator[TestVector]:
-        return iter(self._vectors)
+        for code, address, data in zip(*(column.tolist() for column in self.columns)):
+            yield TestVector(OPERATIONS[code], address, data)
 
     def __getitem__(self, index: int) -> TestVector:
-        return self._vectors[index]
+        code, address, data = (int(column[index]) for column in self.columns)
+        return TestVector(OPERATIONS[code], address, data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorSequence):
             return NotImplemented
-        return (
-            self._vectors == other._vectors
-            and self.addr_bits == other.addr_bits
-            and self.data_bits == other.data_bits
+        return (self.addr_bits, self.data_bits) == (other.addr_bits, other.data_bits) and all(
+            np.array_equal(mine, theirs) for mine, theirs in zip(self.columns, other.columns)
         )
 
     def __hash__(self) -> int:
-        return hash((self._vectors, self.addr_bits, self.data_bits))
+        cycles = tuple(column.tobytes() for column in self.columns)
+        return hash((cycles, self.addr_bits, self.data_bits))
 
     def __repr__(self) -> str:
         label = self.name or "unnamed"
         return f"VectorSequence({label!r}, cycles={len(self)})"
 
     # -- derived views ------------------------------------------------------
-    @property
-    def vectors(self) -> Tuple[TestVector, ...]:
-        """The underlying immutable vector tuple."""
-        return self._vectors
+    def features(self, extract: Callable[["VectorSequence"], Any]) -> Any:
+        """``extract(self)`` computed once, kept read-only outside ``==``/``hash``.
 
-    def addresses(self) -> List[int]:
-        """Per-cycle address stream."""
-        return [vec.address for vec in self._vectors]
-
-    def data_words(self) -> List[int]:
-        """Per-cycle data stream (zero for reads and NOPs)."""
-        return [vec.data if vec.op is Operation.WRITE else 0 for vec in self._vectors]
-
-    def operations(self) -> List[Operation]:
-        """Per-cycle operation stream."""
-        return [vec.op for vec in self._vectors]
+        ``extract`` is :func:`repro.patterns.features.extract_features`;
+        every chip, encoder and assessor holding the sequence shares it.
+        """
+        if self._features is None:
+            self._features = extract(self)
+            self._freeze()
+        return self._features
 
     def count(self, op: Operation) -> int:
         """Number of cycles performing ``op``."""
-        return sum(1 for vec in self._vectors if vec.op is op)
-
-    def with_name(self, name: str) -> "VectorSequence":
-        """Return a renamed copy sharing the same vectors."""
-        return VectorSequence(
-            self._vectors, self.addr_bits, self.data_bits, name=name
-        )
-
-    def replaced(self, index: int, vector: TestVector) -> "VectorSequence":
-        """Return a copy with the cycle at ``index`` replaced.
-
-        Used by GA mutation operators, which must not modify sequences
-        in place (sequences may be shared between population members).
-        """
-        if not 0 <= index < len(self._vectors):
-            raise IndexError(f"cycle index {index} out of range")
-        vecs = list(self._vectors)
-        vecs[index] = vector
-        return VectorSequence(vecs, self.addr_bits, self.data_bits, name=self.name)
+        return int(np.count_nonzero(self.ops == OP_CODE[op]))
 
     def spliced(
         self, other: "VectorSequence", cut_self: int, cut_other: int
     ) -> "VectorSequence":
         """Single-point crossover helper: ``self[:cut_self] + other[cut_other:]``.
 
-        The result is clamped to :data:`MAX_SEQUENCE_CYCLES` and validated to
-        contain at least one cycle; bus geometry must match.
+        The result is clamped to :data:`MAX_SEQUENCE_CYCLES` and keeps at
+        least one cycle (``self``'s first); bus geometry must match.
         """
         if (self.addr_bits, self.data_bits) != (other.addr_bits, other.data_bits):
             raise ValueError("cannot splice sequences with different bus geometry")
-        vecs = list(self._vectors[:cut_self]) + list(other._vectors[cut_other:])
-        if not vecs:
-            vecs = [self._vectors[0]]
-        return VectorSequence(
-            vecs[:MAX_SEQUENCE_CYCLES], self.addr_bits, self.data_bits, name=self.name
-        )
+        columns = [
+            np.concatenate((mine[:cut_self], theirs[cut_other:]))
+            for mine, theirs in zip(self.columns, other.columns)
+        ]
+        if not columns[0].size:
+            columns = [mine[:1] for mine in self.columns]
+        columns = [column[:MAX_SEQUENCE_CYCLES] for column in columns]
+        return VectorSequence((), self.addr_bits, self.data_bits, self.name, columns=columns)
+
+
+def column_dtype(bits: int) -> np.dtype:
+    """Narrowest unsigned integer type holding ``bits``-bit words."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if bits <= np.iinfo(dtype).bits:
+            return np.dtype(dtype)
+    raise ValueError(f"{bits}-bit words do not fit a 64-bit column")
+
+
+def _int_column(values: Sequence[int]) -> np.ndarray:
+    """``values`` unnarrowed (as Python ints beyond int64), to validate as given."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
 
 
 def checkerboard_word(address: int, data_bits: int, inverted: bool = False) -> int:

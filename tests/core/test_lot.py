@@ -1,5 +1,7 @@
 """Tests for lot characterization and environmental sweeps."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,23 @@ class TestLotCharacterizer:
         report = self._characterizer().run(small_test_set, n_dies=4)
         assert len(report.dies) == 4
         assert len({d.die.die_id for d in report.dies}) == 4
+
+    def test_die_units_carry_the_deck_features(self, small_test_set):
+        """The deck's features are extracted here before the units are
+        built, so every pickled unit carries them (otherwise each process
+        farm worker would extract its own copy)."""
+        lot = self._characterizer()
+        lot.run(small_test_set, n_dies=2, workers=2)
+        die = lot.process.sample_lot(1)[0]
+        unit = pickle.loads(pickle.dumps(lot.die_unit(die, small_test_set)))
+
+        def no_extraction(sequence):
+            raise AssertionError("a unit's features were extracted again")
+
+        for shipped, test in zip(unit.payload["tests"], small_test_set):
+            assert shipped.sequence.features(no_extraction).as_dict() == (
+                test.sequence.features(no_extraction).as_dict()
+            )
 
     def test_worst_die_has_max_wcr(self, small_test_set):
         report = self._characterizer().run(small_test_set, n_dies=5)

@@ -1,10 +1,13 @@
 """Tests for GA chromosomes and variation operators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ga.chromosome import TestIndividual
+from repro.ga.population import Population
 from repro.ga.operators import (
     MOTIF_NAMES,
     crossover_conditions,
@@ -148,8 +151,8 @@ class TestMotifProfiles:
         from repro.ga import operators
 
         builder = operators._MOTIF_BUILDERS[name]
-        vectors = builder(rng, 200, 10, 8)
-        return VectorSequence(vectors)
+        cycles = builder(rng, 200, 10, 8)
+        return VectorSequence(columns=tuple(zip(*cycles)))
 
     def test_all_motifs_registered(self):
         assert set(MOTIF_NAMES) == {"toggle_burst", "raw_pairs", "msb_hop"}
@@ -199,3 +202,36 @@ class TestConditionOperators:
     def test_negative_sigma_rejected(self, rng):
         with pytest.raises(ValueError):
             mutate_conditions(np.zeros(3), rng, sigma=-0.1)
+
+
+#: SHA-256 of :func:`operator_trace`, recorded when sequences were
+#: tuples of TestVector objects.
+OPERATOR_TRACE_SHA = "1fdb78643219b2ec108b886ecd561850e37d02e88b8d14d760c39dedaa5b5aac"
+
+
+def operator_trace():
+    """60 rounds of splice, point, motif and resize on a seeded pool."""
+    generator = RandomTestGenerator(seed=7)
+    pool = [generator.generate().sequence for _ in range(6)]
+    rng = np.random.default_rng(11)
+    lines = []
+    for step in range(60):
+        i, j = step % len(pool), (step * 5 + 1) % len(pool)
+        a, b = crossover_sequences(pool[i], pool[j], rng)
+        a = point_mutate_sequence(a, rng, rate=0.05)
+        b = motif_mutate_sequence(b, rng)
+        a = resize_mutate_sequence(a, rng)
+        pool[i], pool[j] = a, b
+        lines.append(" ".join(str(v) for v in a))
+        lines.append(" ".join(str(v) for v in b))
+    population = Population(
+        "p",
+        [TestIndividual(s, np.full(3, 0.5), fitness=float(i)) for i, s in enumerate(pool)],
+    )
+    lines.append(repr(population.sequence_diversity()))
+    return "\n".join(lines)
+
+
+def test_operator_draws_and_outputs_are_pinned():
+    """The operators make the same rng draws and build the same cycles."""
+    assert hashlib.sha256(operator_trace().encode()).hexdigest() == OPERATOR_TRACE_SHA

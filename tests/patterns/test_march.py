@@ -69,7 +69,7 @@ class TestCompiler:
     def test_explicit_addresses(self):
         seq = compile_march(get_march_test("mats+"), addresses=range(8))
         assert len(seq) == 8 * 5
-        assert set(seq.addresses()) == set(range(8))
+        assert set(seq.addresses.tolist()) == set(range(8))
 
     def test_overflow_raises(self):
         with pytest.raises(ValueError, match="cycles"):
@@ -80,12 +80,12 @@ class TestCompiler:
     def test_down_elements_walk_descending(self):
         seq = compile_march(get_march_test("mats+"), addresses=range(4))
         # mats+: ANY(w0) 4 cycles, UP(r0,w1) 8 cycles, DOWN(r1,w0) 8 cycles.
-        down_part = seq.addresses()[12:]
+        down_part = seq.addresses.tolist()[12:]
         assert down_part == [3, 3, 2, 2, 1, 1, 0, 0]
 
     def test_up_elements_walk_ascending(self):
         seq = compile_march(get_march_test("mats+"), addresses=range(4))
-        up_part = seq.addresses()[4:12]
+        up_part = seq.addresses.tolist()[4:12]
         assert up_part == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_solid_background_data_values(self):
