@@ -4,27 +4,19 @@ Every bench regenerates one paper artifact (table or figure).  Numbers are
 printed to stdout *and* appended to ``benchmarks/results/<bench>.txt`` so a
 ``pytest benchmarks/ --benchmark-only`` run leaves a reviewable record; the
 EXPERIMENTS.md paper-vs-measured index is built from those records.
-
-Each bench additionally leaves a machine-readable record,
-``benchmarks/results/BENCH_<bench>.json``: wall clock, host CPU count and
-python version, plus whatever numbers the bench reports via
-``report_sink.json(...)`` (measurement counts, speedups, ...).  CI and the
-run-history tooling consume these instead of scraping the text records.
+Machine-readable performance numbers come from ``perfbench/``; benches
+whose counts are deterministic pin them exactly instead.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.ate.measurement import MeasurementModel
 from repro.ate.tester import ATE
-from repro.obs.profile import process_cpu_seconds
 from repro.core.characterizer import DeviceCharacterizer
 from repro.core.learning import LearningConfig, LearningScheme
 from repro.core.trip_point import MultipleTripPointRunner
@@ -58,50 +50,17 @@ def host_cpus() -> int:
 
 @pytest.fixture
 def report_sink(request):
-    """Callable that prints a line and appends it to the bench's record.
-
-    ``report_sink.json(key=value, ...)`` stashes machine-readable numbers;
-    at teardown they are written to ``BENCH_<bench>.json`` together with
-    the bench's wall clock, the host CPU count and the python version.
-    """
+    """Callable that prints a line and appends it to the bench's record."""
     RESULTS_DIR.mkdir(exist_ok=True)
     record = RESULTS_DIR / f"{request.node.name}.txt"
     record.write_text("")
-    data = {}
 
     def sink(line: str = "") -> None:
         print(line)
         with record.open("a") as handle:
             handle.write(line + "\n")
 
-    sink.json = data.update
-    started = time.perf_counter()
-    cpu_started = process_cpu_seconds(include_children=True)
-    yield sink
-    cpu_ended = process_cpu_seconds(include_children=True)
-    payload = {
-        "bench": request.node.name,
-        "wall_s": round(time.perf_counter() - started, 6),
-        "cpu_s": round(
-            (cpu_ended[0] - cpu_started[0]) + (cpu_ended[1] - cpu_started[1]),
-            6,
-        ),
-        "host_cpus": host_cpus(),
-        "python": platform.python_version(),
-        "data": data,
-    }
-    _write_json_atomically(
-        RESULTS_DIR / f"BENCH_{request.node.name}.json", payload
-    )
-
-
-def _write_json_atomically(path: Path, payload: dict) -> None:
-    """Write-then-rename so a crashed or interrupted bench never leaves a
-    truncated record for the CI gate (or EXPERIMENTS tooling) to choke on."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    staging = path.with_name(path.name + f".tmp{os.getpid()}")
-    staging.write_text(text)
-    os.replace(staging, path)
+    return sink
 
 
 @pytest.fixture(scope="session")

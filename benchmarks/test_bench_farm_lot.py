@@ -61,16 +61,6 @@ def test_farm_lot_serial_vs_4_workers(benchmark, report_sink, tmp_path):
 
     cpus = host_cpus()
     measurements = sum(d.measurements for d in serial.dies)
-    report_sink.json(
-        dies=N_DIES,
-        tests=N_TESTS,
-        measurements=measurements,
-        serial_wall_s=round(serial_s, 6),
-        parallel_wall_s=round(parallel_s, 6),
-        workers=4,
-        speedup=round(serial_s / parallel_s, 4),
-        identical_databases=True,
-    )
     report_sink(
         f"farm — {N_DIES}-die lot x {N_TESTS} tests "
         f"({measurements} tester measurements, host CPUs: {cpus}):"

@@ -16,6 +16,13 @@ from repro.patterns.random_gen import RandomTestGenerator
 
 N_TESTS = 50
 
+#: Exact tester measurement counts of the seeded campaigns below.  The
+#: counts are deterministic, so they are pinned exactly; update them in
+#: the change that moves them.
+SUTP_MEASUREMENTS = 396
+FULL_MEASUREMENTS = 642
+LINEAR_MEASUREMENTS = 15_606
+
 
 def make_tests():
     return [
@@ -56,15 +63,6 @@ def test_fig3_sutp_vs_full_range(benchmark, report_sink):
     )
     sutp_time = time_model.session_time_s(run_campaign.last_ate)
 
-    report_sink.json(
-        tests=N_TESTS,
-        sutp_measurements=sutp_dsv.total_measurements,
-        full_measurements=full_dsv.total_measurements,
-        linear_measurements=linear_dsv.total_measurements,
-        sutp_tester_s=round(sutp_time, 6),
-        full_tester_s=round(full_time, 6),
-        linear_tester_s=round(linear_time, 6),
-    )
     report_sink(f"fig. 3 — {N_TESTS}-test campaign over CR = "
                 f"{SEARCH_RANGE[1] - SEARCH_RANGE[0]:.0f} ns:")
     for label, dsv, seconds in (
@@ -101,6 +99,10 @@ def test_fig3_sutp_vs_full_range(benchmark, report_sink):
     assert max(disagreements) < 0.5
     assert incremental >= N_TESTS - 3
 
+    assert sutp_dsv.total_measurements == SUTP_MEASUREMENTS
+    assert full_dsv.total_measurements == FULL_MEASUREMENTS
+    assert linear_dsv.total_measurements == LINEAR_MEASUREMENTS
+
 
 @pytest.mark.benchmark(group="fig3")
 def test_fig3_sutp_per_test_cost_profile(benchmark, report_sink):
@@ -110,7 +112,6 @@ def test_fig3_sutp_per_test_cost_profile(benchmark, report_sink):
         run_campaign, args=("sutp",), rounds=1, iterations=1
     )
     costs = [entry.measurements for entry in sutp_dsv]
-    report_sink.json(tests=len(costs), measurements=sum(costs))
     report_sink("per-test measurement cost (SUTP):")
     for index, cost in enumerate(costs):
         report_sink(f"  test {index:>3}: {'#' * cost} {cost}")
@@ -118,3 +119,4 @@ def test_fig3_sutp_per_test_cost_profile(benchmark, report_sink):
     assert costs[0] == max(costs[:10])  # the RTP bootstrap dominates early
     tail_mean = sum(costs[1:]) / (len(costs) - 1)
     assert tail_mean < costs[0]
+    assert sum(costs) == SUTP_MEASUREMENTS

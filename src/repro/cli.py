@@ -58,12 +58,11 @@ The ``obs`` subcommand family inspects what the flags above record::
     repro-characterize obs report   trace.jsonl out.html --runs runs.jsonl
     repro-characterize obs timeline trace.jsonl -o timeline.json
     repro-characterize obs compare  runs.jsonl --baseline nightly
-    repro-characterize obs bench-import runs.jsonl BENCH_*.json --suffix @ci
     repro-characterize obs alerts   --url http://127.0.0.1:8765
 
-``obs compare``, ``obs bench-import`` and ``obs report`` also accept
-``--db store.db`` in place of the JSONL history: the run records then
-come from (or go to) a :mod:`repro.store` SQLite result store.
+``obs compare`` and ``obs report`` also accept ``--db store.db`` in
+place of the JSONL history: the run records then come from a
+:mod:`repro.store` SQLite result store, which must already exist.
 
 The service family turns campaigns into jobs (see ``docs/service.md``)::
 
@@ -504,29 +503,6 @@ def _build_parser(parser_class=argparse.ArgumentParser):
     obs_report.add_argument(
         "--title", default="Characterization run report",
         help="report heading",
-    )
-
-    obs_bench = obs_sub.add_parser(
-        "bench-import",
-        help=(
-            "append BENCH_<name>.json benchmark records to a run history "
-            "so 'obs compare' can gate them"
-        ),
-    )
-    obs_bench.add_argument("history_file", nargs="?", metavar="RUNS")
-    obs_bench.add_argument(
-        "bench_files", nargs="+", metavar="BENCH_JSON",
-        help="BENCH_*.json records written by the benchmark suite",
-    )
-    obs_bench.add_argument(
-        "--db", metavar="DB",
-        help="import into this repro.store database instead of a RUNS "
-        "jsonl file (raw payloads land in bench_records, gateable run "
-        "records in runs)",
-    )
-    obs_bench.add_argument(
-        "--suffix", default="",
-        help="append to each record's run name (e.g. '@ci')",
     )
 
     obs_alerts = obs_sub.add_parser(
@@ -1053,16 +1029,31 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
+def _open_existing_store(db_path):
+    """Open the result store at ``db_path`` for a read-only command.
+
+    Returns ``None`` (after printing the error) when no store exists
+    there: opening would create an empty one, and a mistyped path would
+    then read as a store with nothing wrong in it.
+    """
+    if not Path(db_path).is_file():
+        print(f"error: no result store at {db_path}", file=sys.stderr)
+        return None
+    from repro.store import ResultStore
+
+    return ResultStore(db_path)
+
+
 def _resolve_history(args):
     """The run history an obs subcommand should work against.
 
     Exactly one of the RUNS jsonl path (``obs report --runs``) and
-    ``--db`` must be given; ``--db`` opens the
+    ``--db`` must be given; ``--db`` opens the existing
     :class:`repro.store.ResultStore` and adapts it to the
     :class:`~repro.obs.history.RunHistory` interface, so the
-    comparison/import/report code is identical for both backends.
+    comparison/report code is identical for both backends.
     Returns ``None`` (after printing the usage error) when the choice
-    is ambiguous or absent.
+    is ambiguous or absent, or the store does not exist.
     """
     from repro import obs
 
@@ -1073,9 +1064,8 @@ def _resolve_history(args):
         )
         return None
     if args.db:
-        from repro.store import ResultStore
-
-        return ResultStore(args.db).run_history()
+        store = _open_existing_store(args.db)
+        return None if store is None else store.run_history()
     if args.history_file:
         return obs.RunHistory(args.history_file)
     print("error: a RUNS jsonl file or --db is required", file=sys.stderr)
@@ -1109,43 +1099,6 @@ def _cmd_obs(args) -> int:
             return 3
         print(comparison.render())
         return 1 if comparison.regressed else 0
-
-    if args.obs_command == "bench-import":
-        import json
-
-        history = _resolve_history(args)
-        if history is None:
-            return 2
-        for bench_file in args.bench_files:
-            try:
-                payload = json.loads(Path(bench_file).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(
-                    f"error: cannot read bench record {bench_file}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            if not isinstance(payload, dict) or "bench" not in payload:
-                print(
-                    f"error: {bench_file} is not a BENCH_*.json record",
-                    file=sys.stderr,
-                )
-                return 2
-            name = str(payload["bench"]) + args.suffix
-            store = getattr(history, "store", None)
-            if store is not None:
-                # --db: keep the raw payload too (bench_records table),
-                # not just the converted run record.
-                record = store.import_bench_payload(payload, name=name)
-            else:
-                record = obs.bench_run_record(payload, name=name)
-                history.append(record)
-            print(
-                f"bench {record['run']!r} imported: "
-                f"{record['measurements']} measurements, "
-                f"{record['wall_s']:.3f}s wall"
-            )
-        return 0
 
     if args.obs_command == "alerts":
         return _cmd_obs_alerts(args)
@@ -1264,9 +1217,10 @@ def _cmd_obs_alerts(args) -> int:
                 Path(args.metrics_file).read_text()
             )
         else:
-            from repro.store import ResultStore
-
-            samples = alerts.store_samples(ResultStore(args.db))
+            store = _open_existing_store(args.db)
+            if store is None:
+                return 3
+            samples = alerts.store_samples(store)
     except OSError as exc:
         print(f"error: cannot read metrics: {exc}", file=sys.stderr)
         return 3
@@ -1584,7 +1538,6 @@ def _cmd_store(args) -> int:
 
     from repro.store import ResultStore
 
-    store = ResultStore(args.db)
     if args.store_command == "import":
         if not args.history_files and not args.wcdb:
             print(
@@ -1593,6 +1546,7 @@ def _cmd_store(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        store = ResultStore(args.db)
         for history_file in args.history_files:
             # The history loader tolerates absent files (an empty
             # history is normal for appenders); a *migration* of a path
@@ -1629,6 +1583,9 @@ def _cmd_store(args) -> int:
         return 0
 
     if args.store_command == "runs":
+        store = _open_existing_store(args.db)
+        if store is None:
+            return 2
         records = store.runs()
         if args.json:
             print(json.dumps(records, indent=2, sort_keys=True))

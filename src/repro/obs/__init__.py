@@ -126,7 +126,6 @@ from repro.obs.exposition import (
 from repro.obs.history import (
     RunComparison,
     RunHistory,
-    bench_run_record,
     build_run_record,
     compare_runs,
 )
@@ -272,7 +271,6 @@ __all__ = [
     "WorkerUtilization",
     "active_profile_config",
     "align_records",
-    "bench_run_record",
     "build_chrome_trace",
     "build_html_report",
     "build_insight",

@@ -75,49 +75,6 @@ def build_run_record(
     }
 
 
-def bench_run_record(
-    payload: Dict[str, object], name: Optional[str] = None
-) -> Dict[str, object]:
-    """Convert a ``BENCH_<bench>.json`` payload into a run record.
-
-    A bench's machine-readable numbers live under ``data``; every key
-    named ``measurements`` or ending in ``_measurements`` is treated as a
-    measurement-cost series: the keys become ``per_test`` entries and
-    their sum the record's gated ``measurements`` total, so
-    :func:`compare_runs` (and ``repro obs compare``) gate benches exactly
-    like campaign runs.  The record is named after the bench unless
-    ``name`` overrides it (CI appends a suffix to compare a fresh run
-    against the committed baseline of the same bench).
-    """
-    data = payload.get("data") or {}
-    per_test: Dict[str, int] = {}
-    if isinstance(data, dict):
-        for key in sorted(data):
-            if key == "measurements" or key.endswith("_measurements"):
-                per_test[key] = int(data[key])
-    return {
-        "schema": RUN_SCHEMA,
-        "kind": RUN_KIND,
-        "run": name or str(payload.get("bench", "bench")),
-        "campaign": "bench",
-        "command": "bench",
-        "ts": time.time(),
-        "wall_s": round(float(payload.get("wall_s", 0.0) or 0.0), 6),
-        "cpu_s": (
-            round(float(payload["cpu_s"]), 6)
-            if isinstance(payload.get("cpu_s"), (int, float))
-            else None
-        ),
-        "workers": None,
-        "seed": None,
-        "measurements": sum(per_test.values()),
-        "per_test": per_test,
-        "farm_units": 0,
-        "farm_retries": 0,
-        "checkpoint_dropped_lines": 0,
-    }
-
-
 @dataclass
 class HistoryLoad:
     """Result of a tolerant history load."""

@@ -5,8 +5,8 @@ database exports) work for one-shot runs; a long-running
 characterization service needs a real store.  This package provides it:
 
 * :class:`ResultStore` — one SQLite file with typed tables for run-cost
-  records, worst-case test records (deduplicated on test + condition),
-  service jobs, and imported benchmark payloads;
+  records, worst-case test records (deduplicated on test + condition)
+  and service jobs;
 * :class:`StoreRunHistory` — a ``RunHistory``-shaped adapter so the
   existing ``obs compare`` / ``obs report`` machinery reads the store
   through its ``--db`` flag without new comparison code;

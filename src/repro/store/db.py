@@ -2,9 +2,9 @@
 
 :class:`ResultStore` is the persistence layer behind the
 characterization service and the ``--db`` variants of the ``obs``
-commands.  It holds four kinds of records (see
-:mod:`repro.store.schema`): run-cost records, worst-case test records,
-service jobs, and imported benchmark payloads.
+commands.  It holds three kinds of records (see
+:mod:`repro.store.schema`): run-cost records, worst-case test records
+and service jobs.
 
 Concurrency model: the store opens one short-lived connection per
 operation.  That keeps the class thread-safe without sharing
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.core.database import WorstCaseDatabase
-from repro.obs.history import RUN_KIND, HistoryLoad, RunHistory, bench_run_record
+from repro.obs.history import RUN_KIND, HistoryLoad, RunHistory
 from repro.store.schema import SCHEMA_VERSION, ensure_schema
 
 #: Job states, in lifecycle order.  ``queued`` and ``running`` are the
@@ -34,7 +34,7 @@ ACTIVE_JOB_STATES = ("queued", "running")
 
 
 class ResultStore:
-    """One SQLite file holding runs, worst-case records, jobs, benches."""
+    """One SQLite file holding runs, worst-case records and jobs."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -361,44 +361,6 @@ class ResultStore:
             )
         return interrupted
 
-    # -- bench records ---------------------------------------------------------
-
-    def import_bench_payload(
-        self, payload: Dict[str, object], name: Optional[str] = None
-    ) -> Dict[str, object]:
-        """Store one ``BENCH_*.json`` payload.
-
-        The raw payload lands in ``bench_records`` (provenance); the
-        converted, gateable run record (see
-        :func:`repro.obs.history.bench_run_record`) lands in ``runs`` so
-        ``obs compare --db`` treats benches exactly like campaign runs.
-        Returns the run record.
-        """
-        record = bench_run_record(payload, name=name)
-        cpu_s = payload.get("cpu_s")
-        with self._connect() as conn:
-            conn.execute(
-                "INSERT INTO bench_records (bench, imported_ts, wall_s, "
-                "cpu_s, payload) VALUES (?, ?, ?, ?, ?)",
-                (
-                    str(payload.get("bench", "")),
-                    time.time(),
-                    float(payload.get("wall_s", 0.0) or 0.0),
-                    float(cpu_s) if isinstance(cpu_s, (int, float)) else None,
-                    json.dumps(payload, sort_keys=True),
-                ),
-            )
-        self.append_run(record)
-        return record
-
-    def bench_payloads(self) -> List[Dict[str, object]]:
-        """Every imported bench payload, oldest first."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT payload FROM bench_records ORDER BY id"
-            ).fetchall()
-        return [json.loads(row[0]) for row in rows]
-
 
 _JOB_COLUMNS = (
     "job_id, state, spec, created_ts, started_ts, finished_ts, "
@@ -447,7 +409,7 @@ class JsonlImportResult:
 class StoreRunHistory:
     """:class:`ResultStore` adapter with the ``RunHistory`` interface.
 
-    ``obs compare``/``obs report``/``obs bench-import`` accept either a
+    ``obs compare``/``obs report`` accept either a
     JSONL history or this adapter; the comparison logic
     (:func:`repro.obs.history.compare_runs`) never knows which backend
     it is reading.

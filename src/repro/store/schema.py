@@ -1,6 +1,6 @@
 """Versioned SQL schema for the characterization result store.
 
-One schema version, four typed tables plus a metadata table:
+Three typed tables plus a metadata table:
 
 * ``runs`` — run-cost records, superseding the ad-hoc ``runs.jsonl``
   history (the full record is kept as a JSON document next to the
@@ -9,10 +9,7 @@ One schema version, four typed tables plus a metadata table:
 * ``worst_case_records`` — :class:`repro.core.database.WorstCaseDatabase`
   rows, deduplicated on ``(scope, test_name, condition)``;
 * ``jobs`` — the characterization-service job table (spec, state
-  machine, artifact paths);
-* ``bench_records`` — raw ``BENCH_*.json`` payloads as imported by
-  ``repro obs bench-import`` (their *gateable* run records additionally
-  land in ``runs`` so ``obs compare --db`` sees them).
+  machine, artifact paths).
 
 Portability is a design constraint: every statement sticks to the SQL
 subset SQLite and PostgreSQL share — ``TEXT``/``INTEGER``/``REAL``
@@ -31,7 +28,7 @@ from __future__ import annotations
 import sqlite3
 from typing import List, Sequence
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: DDL for a fresh version-1 database.
 SCHEMA_V1: Sequence[str] = (
@@ -102,9 +99,13 @@ SCHEMA_V2: Sequence[str] = (
     "ALTER TABLE jobs ADD COLUMN request_id TEXT NOT NULL DEFAULT ''",
 )
 
+#: Version 2 -> 3: imported benchmark payloads are gone; the
+#: ``bench_records`` table version 1 created is dropped.
+SCHEMA_V3: Sequence[str] = ("DROP TABLE IF EXISTS bench_records",)
+
 #: ``MIGRATIONS[n]`` is the statement list taking version n -> n + 1.
 #: Version 0 means "empty database": the fresh-create path.
-MIGRATIONS: List[Sequence[str]] = [SCHEMA_V1, SCHEMA_V2]
+MIGRATIONS: List[Sequence[str]] = [SCHEMA_V1, SCHEMA_V2, SCHEMA_V3]
 
 
 def schema_version(conn: sqlite3.Connection) -> int:

@@ -7,7 +7,6 @@ import pytest
 from repro.obs.history import (
     RUN_KIND,
     RunHistory,
-    bench_run_record,
     build_run_record,
     compare_runs,
 )
@@ -168,51 +167,3 @@ class TestCompareRuns:
             history, "base", "run", wall_threshold_pct=200.0
         )
         assert not loose.regressed
-
-
-class TestBenchRunRecord:
-    PAYLOAD = {
-        "bench": "test_batched_vs_scalar_grid",
-        "wall_s": 4.25,
-        "data": {
-            "scalar_measurements": 2404,
-            "batched_measurements": 2404,
-            "speedup": 5.1,
-            "grid_points": 601,
-        },
-    }
-
-    def test_measurement_keys_become_per_test(self):
-        record = bench_run_record(self.PAYLOAD)
-        assert record["kind"] == RUN_KIND
-        assert record["run"] == "test_batched_vs_scalar_grid"
-        assert record["campaign"] == "bench"
-        assert record["wall_s"] == 4.25
-        assert record["per_test"] == {
-            "batched_measurements": 2404,
-            "scalar_measurements": 2404,
-        }
-        assert record["measurements"] == 4808
-
-    def test_name_override_and_missing_data(self):
-        record = bench_run_record({"bench": "b"}, name="b@ci")
-        assert record["run"] == "b@ci"
-        assert record["measurements"] == 0
-        assert record["per_test"] == {}
-
-    def test_bench_records_gate_like_runs(self, tmp_path):
-        history = RunHistory(tmp_path / "baselines.jsonl")
-        history.append(bench_run_record(self.PAYLOAD))
-        fresh = dict(
-            self.PAYLOAD,
-            data=dict(self.PAYLOAD["data"], scalar_measurements=3000),
-        )
-        history.append(bench_run_record(fresh, name="test_batched_vs_scalar_grid@ci"))
-        comparison = compare_runs(
-            history,
-            "test_batched_vs_scalar_grid",
-            "test_batched_vs_scalar_grid@ci",
-            threshold_pct=10.0,
-        )
-        assert comparison.regressed
-        assert "scalar_measurements" in comparison.render()

@@ -4,7 +4,7 @@ Three layers of coverage:
 
 * **Non-interference** — the hard contract: a seeded fig. 3 campaign
   (SUTP walk + WCR screen) produces *bit-identical* trip points,
-  datalog and WCR report with profiling on vs off (style of
+  datalog and WCR report with profiling or tracing on vs off (style of
   ``tests/ate/test_batched_parity.py``), and a serial vs 2-worker farm
   run merges structurally identical profile/resource telemetry through
   :class:`FarmCollector`.
@@ -76,21 +76,36 @@ def _fig3_campaign():
 
 
 class TestProfilerNonInterference:
-    """Profiling on vs off -> bit-identical campaign results."""
+    """Profiling or tracing on vs off -> bit-identical campaign results."""
 
-    def test_sampling_profiler_parity(self):
+    @pytest.mark.parametrize("config", ["profile", "trace"])
+    def test_sampling_profiler_parity(self, config, tmp_path):
         baseline = _fig3_campaign()
 
-        obs.configure(profile=FAST)
-        profiled = _fig3_campaign()
+        trace_path = tmp_path / "t.jsonl"
+        if config == "profile":
+            obs.configure(profile=FAST)
+        else:
+            obs.configure(trace_path=trace_path)
+        observed = _fig3_campaign()
         event = prof.stop_profiling()
+        obs.reset()  # flush and close the trace
 
-        assert profiled[0] == baseline[0]  # trip points, bit for bit
-        assert profiled[1] == baseline[1]  # SUTP datalog
-        assert profiled[2] == baseline[2]  # measurement count
-        assert profiled[3] == baseline[3]  # WCR report (fig. 6 export)
-        assert profiled[4] == baseline[4]  # screen datalog
-        assert event is not None and event.mode == "sampling"
+        assert observed[0] == baseline[0]  # trip points, bit for bit
+        assert observed[1] == baseline[1]  # SUTP datalog
+        assert observed[2] == baseline[2]  # measurement count
+        assert observed[3] == baseline[3]  # WCR report (fig. 6 export)
+        assert observed[4] == baseline[4]  # screen datalog
+        if config == "profile":
+            assert event is not None and event.mode == "sampling"
+        else:
+            # The traced run carries the decision story it paid nothing
+            # for: one sutp_test_measured event per test.
+            measured = [
+                r for r in read_trace(trace_path)
+                if r["type"] == "sutp_test_measured"
+            ]
+            assert len(measured) == len(baseline[0])
 
 
 def _run_lot_profiled(tmp_path, name, extra):

@@ -1,4 +1,4 @@
-"""SQLite result store: schema, runs, worst-case dedup, jobs, benches."""
+"""SQLite result store: schema, runs, worst-case dedup, jobs."""
 
 import json
 import sqlite3
@@ -15,6 +15,7 @@ from repro.store import (
     SCHEMA_VERSION,
     schema_version,
 )
+from repro.store.schema import MIGRATIONS
 
 
 def _run_record(name, measurements, wall_s=1.0):
@@ -53,6 +54,14 @@ def _wc_summary(test_name="t1", wcr=0.5, vdd=1.8, failure=False, **extra):
     return summary
 
 
+def _tables(path):
+    with sqlite3.connect(str(path)) as conn:
+        rows = conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        ).fetchall()
+    return {row[0] for row in rows}
+
+
 class TestSchema:
     def test_fresh_store_is_at_current_version(self, tmp_path):
         store = ResultStore(tmp_path / "store.db")
@@ -76,6 +85,41 @@ class TestSchema:
             )
         with pytest.raises(RuntimeError, match="newer"):
             ResultStore(path)
+
+    def test_fresh_store_has_no_bench_records_table(self, tmp_path):
+        store = ResultStore(tmp_path / "store.db")
+        assert SCHEMA_VERSION == 3
+        assert "bench_records" not in _tables(store.path)
+
+    def test_v2_store_upgrades_to_v3_and_keeps_its_runs(self, tmp_path):
+        path = tmp_path / "store.db"
+        with sqlite3.connect(str(path)) as conn:
+            for statements in MIGRATIONS[:2]:
+                for statement in statements:
+                    conn.execute(statement)
+            conn.execute(
+                "INSERT INTO store_meta (key, value) "
+                "VALUES ('schema_version', '2')"
+            )
+            for name, measurements in (("a", 1), ("b", 2)):
+                record = _run_record(name, measurements)
+                conn.execute(
+                    "INSERT INTO runs (run, measurements, record) "
+                    "VALUES (?, ?, ?)",
+                    (name, measurements, json.dumps(record, sort_keys=True)),
+                )
+            conn.execute(
+                "INSERT INTO bench_records (bench, payload) VALUES (?, ?)",
+                ("grid", json.dumps({"bench": "grid"})),
+            )
+        assert "bench_records" in _tables(path)
+
+        store = ResultStore(path)
+
+        assert store.schema_version == 3
+        assert "bench_records" not in _tables(path)
+        assert [r["run"] for r in store.runs()] == ["a", "b"]
+        assert store.find_run("b") == _run_record("b", 2)
 
     def test_parent_directory_is_created(self, tmp_path):
         store = ResultStore(tmp_path / "deep" / "nested" / "store.db")
@@ -272,20 +316,3 @@ class TestJobs:
         assert store.get_job("queued-one")["state"] == "failed"
         assert "restart" in store.get_job("running-one")["error"]
         assert store.get_job("done-one")["state"] == "completed"
-
-
-class TestBenchRecords:
-    PAYLOAD = {
-        "schema": 1,
-        "bench": "bench_batched_grid",
-        "wall_s": 1.25,
-        "cpu_s": 1.2,
-        "data": {"measurements": 400},
-    }
-
-    def test_import_lands_in_both_tables(self, tmp_path):
-        store = ResultStore(tmp_path / "store.db")
-        record = store.import_bench_payload(self.PAYLOAD, name="grid@ci")
-        assert record["run"] == "grid@ci"
-        assert store.bench_payloads() == [self.PAYLOAD]
-        assert store.find_run("grid@ci")["measurements"] == 400

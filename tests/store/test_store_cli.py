@@ -101,34 +101,17 @@ class TestStoreRuns:
         assert [r["run"] for r in records] == ["alpha"]
 
     def test_empty_store(self, tmp_path, capsys):
-        assert main(
-            ["store", "runs", "--db", str(tmp_path / "store.db")]
-        ) == 0
+        db = tmp_path / "store.db"
+        ResultStore(db)
+        assert main(["store", "runs", "--db", str(db)]) == 0
         assert "no runs stored" in capsys.readouterr().out
 
 
 class TestObsDbVariants:
-    def test_bench_import_into_db(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_thing.json"
-        bench.write_text(json.dumps(
-            {"schema": 1, "bench": "thing", "wall_s": 0.5,
-             "data": {"measurements": 42}}
-        ))
-        db = str(tmp_path / "store.db")
+    def test_compare_rejects_both_backends(self, tmp_path, capsys):
         assert main(
-            ["obs", "bench-import", "--db", db, str(bench),
-             "--suffix", "@ci"]
-        ) == 0
-        assert "thing@ci" in capsys.readouterr().out
-        store = ResultStore(db)
-        assert store.find_run("thing@ci")["measurements"] == 42
-        assert store.bench_payloads()[0]["bench"] == "thing"
-
-    def test_bench_import_rejects_both_backends(self, tmp_path, capsys):
-        assert main(
-            ["obs", "bench-import", str(tmp_path / "runs.jsonl"),
-             str(tmp_path / "BENCH_x.json"),
-             "--db", str(tmp_path / "store.db")]
+            ["obs", "compare", str(tmp_path / "runs.jsonl"),
+             "--db", str(tmp_path / "store.db"), "--baseline", "b"]
         ) == 2
         assert "not both" in capsys.readouterr().err
 
@@ -158,6 +141,33 @@ class TestObsDbVariants:
              "--db", "y.db"]
         ) == 2
         assert "not both" in capsys.readouterr().err
+
+
+class TestMissingStoreIsRefused:
+    """Read-only ``--db`` commands never create a store at a typo."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["obs", "alerts"], 3),
+            (["obs", "compare", "--baseline", "b"], 2),
+            (["obs", "report", "TRACE"], 2),
+            (["store", "runs"], 2),
+        ],
+        ids=["obs-alerts", "obs-compare", "obs-report", "store-runs"],
+    )
+    def test_read_command_refuses_missing_store(
+        self, tmp_path, capsys, argv, code
+    ):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("")
+        argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
+        db = tmp_path / "typo.db"
+        assert main([*argv, "--db", str(db)]) == code
+        captured = capsys.readouterr()
+        assert f"no result store at {db}" in captured.err
+        assert captured.out == ""
+        assert not db.exists()
 
 
 class TestLotDatabaseExport:
